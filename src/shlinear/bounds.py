@@ -25,6 +25,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
+    InvalidParameterError,
     NoWitnessError,
     ParseError,
     SingletonViolationError,
@@ -286,7 +287,7 @@ def vbar_upper(entries: Sequence[CodeTableEntry], q: int, h: int, n: int) -> Bou
     """Upper bound on vbar: min n-k over entries with d_low >= 2h+1 and
     2h <= n-k < n."""
     if n <= 2 * h:
-        raise ValueError(f"need n > 2h, got n={n}, h={h}")
+        raise InvalidParameterError(f"need n > 2h, got n={n}, h={h}")
     target = 2 * h + 1
     best: Optional[CodeTableEntry] = None
     for e in entries:
@@ -312,7 +313,7 @@ def vbar_exact(
     be excluded (by a table d_up entry or an exhaustive certificate); else an
     interval result explaining the first undecided redundancy."""
     if n <= 2 * h:
-        raise ValueError(f"need n > 2h, got n={n}, h={h}")
+        raise InvalidParameterError(f"need n > 2h, got n={n}, h={h}")
     target = 2 * h + 1
     try:
         upper = vbar_upper(entries, q, h, n)

@@ -8,6 +8,8 @@ or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import math
 import os
 import random
@@ -21,7 +23,7 @@ from . import code as code_mod
 from . import correspond, fileio, fixtures, shset
 from .errors import NotShLinearError, ShlinearError, UsageError
 from .gf import field_of_order
-from .linalg import FqMatrix
+from .linalg import FqMatrix, decode_vector
 
 
 @dataclass
@@ -51,7 +53,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args returns a
+    fresh namespace on every call, so reuse carries no state over."""
     parser = argparse.ArgumentParser(
         prog="shlinear",
         description="S_h-linear sets, q-ary linear codes, and the correspondence between them",
@@ -360,6 +365,27 @@ def _cmd_selftest(args) -> int:
         generic_size, _ = shset.exhaustive_max_sh_set(ctx2, r, h, packed=False)
         ok = ok and packed_size == generic_size
     check("packed_generic_agreement", ok)
+
+    # the symmetry-pruned search returns the lexicographically first maximum
+    # set, which a scan of every subset in lexicographic order also finds
+    ok = True
+    for q, r, h in ((2, 3, 2), (3, 2, 2)):
+        ctx = field_of_order(q)
+        vectors = [decode_vector(ctx, r, c) for c in range(q ** r)]
+        for mode, verify in (("linear", shset.is_sh_linear), ("plain", shset.is_sh_set)):
+            first = ()
+            for size in range(h, len(vectors) + 1):
+                found = next(
+                    (s for s in itertools.combinations(vectors, size)
+                     if verify(shset.ShSetCandidate(ctx, r, s, h))),
+                    None,
+                )
+                if found is None:
+                    break
+                first = found
+            size, witness = shset.exhaustive_max_sh_set(ctx, r, h, mode=mode)
+            ok = ok and (size, witness.elems if witness else ()) == (len(first), first)
+    check("search_oracle_agreement", ok)
 
     # two distance algorithms agree on random small binary codes
     ok = True

@@ -18,7 +18,7 @@ import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import BudgetExceededError, DimensionMismatchError
+from .errors import BudgetExceededError, DimensionMismatchError, PreconditionViolatedError
 from . import linalg
 from .gf import FieldCtx
 from .linalg import FqMatrix, FqVector
@@ -212,7 +212,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
                 best = w
                 if best == 1:
                     break
-    assert best is not None and best >= 1
+    if not best:  # a nonzero message encoded to the zero word
+        raise PreconditionViolatedError("the generator rows are linearly dependent")
     code.d_known = best
     return best
 

@@ -25,6 +25,7 @@ from .errors import (
     DimensionWindowViolatedError,
     DistanceTooSmallError,
     DuplicateColumnsError,
+    InvalidParameterError,
     NotShLinearError,
     RedundancyTooSmallError,
 )
@@ -73,7 +74,7 @@ def code_to_set(code: LinearCode, h: int) -> ShSetCandidate:
     2h+1; the result is re-verified, so a wrong certificate is detected.
     """
     if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+        raise InvalidParameterError(f"h must be >= 1, got {h}")
     r = code.n - code.k
     if r < 2 * h:
         raise RedundancyTooSmallError(f"need n-k >= 2h; got n-k={r}, h={h}")

@@ -29,6 +29,14 @@ class FieldMismatchError(ShlinearError, ValueError):
     """Operands belong to different field contexts."""
 
 
+class InvalidParameterError(ShlinearError, ValueError):
+    """A numeric or mode parameter is outside its valid range."""
+
+
+class DuplicateVectorsError(ShlinearError, ValueError):
+    """A vector set lists the same vector more than once."""
+
+
 class HTooLargeError(ShlinearError, ValueError):
     """Combination length h exceeds the number of available elements."""
 

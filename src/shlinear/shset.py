@@ -30,8 +30,10 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
+    DuplicateVectorsError,
     FieldMismatchError,
     HTooLargeError,
+    InvalidParameterError,
     NotShLinearError,
     PreconditionViolatedError,
     ScalarZeroError,
@@ -65,7 +67,7 @@ class ShSetCandidate:
             if v.dim != self.r:
                 raise DimensionMismatchError(f"vector of dimension {v.dim}, expected {self.r}")
         if len(set(self.elems)) != len(self.elems):
-            raise ValueError("candidate set contains duplicate vectors")
+            raise DuplicateVectorsError("candidate set contains duplicate vectors")
         if not 1 <= self.h <= len(self.elems):
             raise HTooLargeError(
                 f"h={self.h} out of range for a set of {len(self.elems)} elements"
@@ -279,7 +281,7 @@ def size_bound(q: int, r: int, h: int, contains_zero: bool) -> float:
     (q^r h! / (q-1)^(h-1))^(1/h) + (h-1)     when 0 is in A
     """
     if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+        raise InvalidParameterError(f"h must be >= 1, got {h}")
     space = q ** r * math.factorial(h)
     if contains_zero:
         return (space / (q - 1) ** (h - 1)) ** (1.0 / h) + (h - 1)
@@ -439,14 +441,41 @@ def _decode_tuple(code: int, q: int, r: int) -> Tuple[int, ...]:
     return tuple(out)
 
 
-class _XorEngine:
-    """Combination-value bookkeeping over F_2: vectors are packed ints and
-    the only coefficient is 1, so values are XORs of (h-1)-subsets."""
+class _Engine:
+    """Bookkeeping shared by the search engines: the elements pushed so far,
+    the values of their h-combinations, and an echelon basis of their linear
+    span in which each row is reduced by the rows before it. Subclasses
+    supply values_of and, in their own arithmetic, _reduce (x minus its
+    projection on the basis, falsy exactly when x is in the span) and
+    _basis_row (the stored form of a nonzero residue)."""
 
-    def __init__(self, r: int, h: int):
+    def __init__(self, h: int):
         self.h = h
         self.elems: List[int] = []
         self.seen: set = set()
+        self.basis: list = []
+        self._ranks: List[int] = []
+
+    def in_span(self, x: int) -> bool:
+        return not self._reduce(x)
+
+    def push(self, x: int, fresh: list) -> None:
+        self.seen.update(fresh)
+        self.elems.append(x)
+        self._ranks.append(len(self.basis))
+        residue = self._reduce(x)
+        if residue:
+            self.basis.append(self._basis_row(residue))
+
+    def pop(self, fresh: list) -> None:
+        self.elems.pop()
+        self.seen.difference_update(fresh)
+        del self.basis[self._ranks.pop():]
+
+
+class _XorEngine(_Engine):
+    """Combination-value bookkeeping over F_2: vectors are packed ints and
+    the only coefficient is 1, so values are XORs of (h-1)-subsets."""
 
     def values_of(self, x: int) -> Optional[List[int]]:
         if len(self.elems) + 1 < self.h:
@@ -464,20 +493,22 @@ class _XorEngine:
             fresh_set.add(v)
         return fresh
 
-    def push(self, x: int, fresh: List[int]) -> None:
-        self.seen.update(fresh)
-        self.elems.append(x)
+    def _reduce(self, x: int) -> int:
+        # XOR with a row clears the row's leading bit when x has it set
+        for row in self.basis:
+            x = min(x, x ^ row)
+        return x
 
-    def pop(self, fresh: List[int]) -> None:
-        self.elems.pop()
-        self.seen.difference_update(fresh)
+    def _basis_row(self, residue: int) -> int:
+        return residue
 
 
-class _IntLutEngine:
+class _IntLutEngine(_Engine):
     """Encoded-int bookkeeping for small spaces: pairwise vector addition and
     scalar action are precomputed tables over the q^r encodings."""
 
     def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool):
+        super().__init__(h)
         q = ctx.q
         total = q ** r
         vectors = [_decode_tuple(c, q, r) for c in range(total)]
@@ -488,14 +519,16 @@ class _IntLutEngine:
             for va in vectors
         ]
         mul = ctx._mul
-        coeffs = (1,) if plain else tuple(range(1, q))
-        self.scaled = [
-            [index[tuple(mul[c][a] for a in v)] for c in ((1,) if code == 0 else coeffs)]
+        # multiples[v][c - 1] = c*v for every nonzero coefficient c; the zero
+        # vector keeps only its canonical coefficient 1
+        self.multiples = [
+            [index[tuple(mul[c][a] for a in v)] for c in ((1,) if code == 0 else range(1, q))]
             for code, v in enumerate(vectors)
         ]
-        self.h = h
-        self.elems: List[int] = []
-        self.seen: set = set()
+        self.scaled = [[code] for code in range(total)] if plain else self.multiples
+        self.q = q
+        self._neg = ctx._neg
+        self._inv = ctx._inv
 
     def values_of(self, x: int) -> Optional[List[int]]:
         h = self.h
@@ -521,43 +554,67 @@ class _IntLutEngine:
                     fresh_set.add(v)
         return fresh
 
-    def push(self, x: int, fresh: List[int]) -> None:
-        self.seen.update(fresh)
-        self.elems.append(x)
+    def _reduce(self, x: int) -> int:
+        # a row is (place, code): its leading base-q digit is 1, at place q^k
+        q, neg, add_lut, multiples = self.q, self._neg, self.add_lut, self.multiples
+        for place, row in self.basis:
+            c = x // place % q
+            if c:
+                x = add_lut[x][multiples[row][neg[c] - 1]]
+        return x
 
-    def pop(self, fresh: List[int]) -> None:
-        self.elems.pop()
-        self.seen.difference_update(fresh)
+    def _basis_row(self, residue: int) -> Tuple[int, int]:
+        place = 1
+        while place * self.q <= residue:
+            place *= self.q
+        return place, self.multiples[residue][self._inv[residue // place] - 1]
 
 
-class _TupleEngine:
+class _TupleEngine(_Engine):
     """Coordinate-tuple bookkeeping, used when the space is too large for
     addition tables. Elements are encoded ints; coordinates are decoded once."""
 
     def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool):
+        super().__init__(h)
         self.checker = IncrementalChecker(ctx, r, h, plain=plain)
+        self.seen = self.checker.seen
+        self.ctx = ctx
         self.q = ctx.q
         self.r = r
-        self.h = h
-        self.elems: List[int] = []
 
     def values_of(self, x: int) -> Optional[List[Tuple[int, ...]]]:
         return self.checker._new_values(_decode_tuple(x, self.q, self.r))
 
     def push(self, x: int, fresh) -> None:
-        self.checker.seen.update(fresh)
+        super().push(x, fresh)
         self.checker.elems.append(_decode_tuple(x, self.q, self.r))
-        self.elems.append(x)
 
     def pop(self, fresh) -> None:
+        super().pop(fresh)
         self.checker.elems.pop()
-        self.elems.pop()
-        self.checker.seen.difference_update(fresh)
+
+    def _reduce(self, x: int) -> Optional[List[int]]:
+        # a row is (pivot, coords): its first nonzero coordinate is 1, at pivot
+        add, mul, neg = self.ctx._add, self.ctx._mul, self.ctx._neg
+        v = list(_decode_tuple(x, self.q, self.r))
+        for pivot, row in self.basis:
+            c = v[pivot]
+            if c:
+                m = mul[neg[c]]
+                for j in range(pivot, self.r):
+                    if row[j]:
+                        v[j] = add[v[j]][m[row[j]]]
+        return v if any(v) else None
+
+    def _basis_row(self, residue: List[int]) -> Tuple[int, List[int]]:
+        pivot = next(j for j, c in enumerate(residue) if c)
+        m = self.ctx._mul[self.ctx._inv[residue[pivot]]]
+        return pivot, [m[c] for c in residue]
 
 
 def _make_engine(ctx: FieldCtx, r: int, h: int, plain: bool, use_packed: bool):
     if use_packed:
-        return _XorEngine(r, h)
+        return _XorEngine(h)
     if ctx.q ** r <= LUT_SPACE_CAP:
         return _IntLutEngine(ctx, r, h, plain)
     return _TupleEngine(ctx, r, h, plain)
@@ -585,7 +642,9 @@ def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
     """Candidate-list depth-first search: at each node the branch list holds
     only vectors individually compatible with the current set, so
     |set| + |remaining list| bounds every completion. Candidates stay in
-    canonical encoding order throughout."""
+    canonical encoding order throughout, and of the candidates outside the
+    span of the current set only the first compatible one is branched on:
+    a linear map fixing that span carries any other onto it."""
     best_size, best = _greedy_scan(engine, candidates, h)
 
     def dfs(cands: List[int]) -> None:
@@ -595,12 +654,17 @@ def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
             best_size = size
             best = list(engine.elems)
         n = len(cands)
+        branched_outside = False
         for i, x in enumerate(cands):
             if size + (n - i) <= best_size:
                 break
+            outside = not engine.in_span(x)
+            if outside and branched_outside:
+                continue
             fresh = engine.values_of(x)
             if fresh is None:
                 continue
+            branched_outside = branched_outside or outside
             engine.push(x, fresh)
             if len(engine.elems) + 1 >= h:
                 remaining = [y for y in cands[i + 1:] if engine.values_of(y) is not None]
@@ -622,31 +686,51 @@ def exhaustive_max_sh_set(
     packed: Optional[bool] = None,
 ) -> Tuple[int, Optional[ShSetCandidate]]:
     """Exact maximum size of an S_h-linear (or plain S_h) set in F_q^r, with
-    one maximum witness, by depth-first search over vectors in canonical
-    encoding order with incremental collision pruning and candidate-list
-    bounding. A greedy canonical-order baseline seeds the bound, so the
-    returned witness is that baseline whenever nothing beats it, otherwise
-    the first strictly larger set reached in scan order; either way it is
-    deterministic.
+    its lexicographically first maximum witness: of all maximum sets (that
+    contain 0, if must_contain_zero), the one whose elements, in canonical
+    encoding order, compare smallest. Elements are listed in that order.
+
+    Depth-first search over vectors in canonical encoding order with
+    incremental collision pruning and candidate-list bounding, seeded by a
+    greedy canonical-order baseline. Three symmetries of the S_h property
+    cut the tree; each maps any set it skips onto a valid set of the same
+    size that compares smaller, so the witness is never skipped:
+
+      * translation: for q = 2, or in plain mode, translating a set by t
+        moves every h-sum by h*t, so only sets containing 0 are searched;
+      * scaling: in linear mode with q >= 3, scaling one nonzero element
+        keeps the verdict and a set holding a and c*a (c != 1) collides, so
+        the candidates are 0 and the vectors whose leading nonzero
+        coordinate is 1;
+      * span stabilizer: a linear map fixing the span of the current set
+        pointwise can swap any two vectors outside it, so each node
+        branches on only the first compatible candidate outside that span.
 
     Returns (0, None) when no valid set of size >= h exists. For q = 2 a
     bit-packed path is used unless packed=False forces the generic one.
     """
     if mode not in ("linear", "plain"):
-        raise ValueError(f"mode must be 'linear' or 'plain', got {mode!r}")
+        raise InvalidParameterError(f"mode must be 'linear' or 'plain', got {mode!r}")
     if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
+        raise InvalidParameterError(f"h must be >= 1, got {h}")
     if ctx.q ** r > SEARCH_SPACE_CAP:
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
     use_packed = ctx.q == 2 if packed is None else (packed and ctx.q == 2)
-    engine = _make_engine(ctx, r, h, plain=(mode == "plain"), use_packed=use_packed)
-    start = 0
-    if must_contain_zero:
+    plain = mode == "plain"
+    engine = _make_engine(ctx, r, h, plain=plain, use_packed=use_packed)
+    q = ctx.q
+    if plain:
+        candidates = list(range(1, q ** r))
+    else:  # leading base-q digit 1; every nonzero vector when q = 2
+        candidates = [c for k in range(r) for c in range(q ** k, 2 * q ** k)]
+    if must_contain_zero or plain or q == 2:
         fresh = engine.values_of(0)
-        assert fresh is not None
+        if fresh is None:
+            raise RuntimeError("search engine rejected the zero vector as a first element")
         engine.push(0, fresh)
-        start = 1
-    size, codes = _search_max(engine, list(range(start, ctx.q ** r)), h)
+    else:
+        candidates.insert(0, 0)
+    size, codes = _search_max(engine, candidates, h)
     if not codes:
         return 0, None
     if use_packed:
@@ -672,8 +756,8 @@ def extend_to_maximal(candidate: ShSetCandidate) -> ShSetCandidate:
         raise NotShLinearError("input set is not S_h-linear", witness)
     checker = IncrementalChecker(ctx, r, h)
     for v in candidate.elems:
-        token = checker.try_add(v.coords)
-        assert token is not None  # verified above
+        if checker.try_add(v.coords) is None:
+            raise NotShLinearError("input set is not S_h-linear")
     members = set(candidate.elems)
     added: List[FqVector] = []
     for code in range(ctx.q ** r):

@@ -182,4 +182,36 @@ def test_selftest(capsys):
     assert code == 0
     assert "counting_law: pass" in out
     assert "packed_generic_agreement: pass" in out
+    assert "search_oracle_agreement: pass" in out
     assert "distance_cross_validation: pass" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["search-max", "--q", "2", "--r", "3", "--h", "0"],
+    ["bounds", "vbar", "--q", "2", "--h", "3", "--n", "5"],
+])
+def test_bad_parameters_exit_2(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_verify_repeated_vector_exit_2(tmp_path, capsys):
+    path = tmp_path / "dup.set"
+    path.write_text("q=3 r=2\n1 0\n1 0\n")
+    code, _, err = run(capsys, "verify", "--set", str(path), "--h", "1")
+    assert code == 2
+    assert "duplicate" in err
+
+
+def test_consecutive_calls_do_not_share_options(capsys):
+    code, out, _ = run(
+        capsys, "verify", "--set", fx(fixtures.SET_F3_R5), "--h", "2", "--mode", "plain"
+    )
+    assert (code, out.strip()) == (0, "OK")
+    code, out, _ = run(capsys, "search-max", "--q", "2", "--r", "3", "--h", "2", "-v")
+    assert code == 0 and len(out.strip().splitlines()) > 1
+    code, out, _ = run(capsys, "search-max", "--q", "2", "--r", "3", "--h", "2")
+    assert (code, out.strip()) == (0, "max=4")
+    code, out, _ = run(capsys, "verify", "--set", fx(fixtures.SET_F3_R5), "--h", "2")
+    assert code == 1  # the linear default, not the plain mode of the first call

@@ -10,7 +10,7 @@ import pytest
 import shlinear as sl
 from shlinear import code as code_mod
 from shlinear import linalg
-from shlinear.errors import BudgetExceededError
+from shlinear.errors import BudgetExceededError, PreconditionViolatedError
 from helpers import bruteforce_min_weight
 
 
@@ -58,6 +58,15 @@ def test_min_distance_budget(f5_parity):
     code = sl.from_parity_check(f5_parity)
     with pytest.raises(BudgetExceededError):
         sl.min_distance(code, budget=100)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_min_distance_rejects_dependent_generator_rows(q):
+    ctx = sl.field_of_order(q)
+    gen = linalg.FqMatrix.from_rows(ctx, [[1, 1, 0], [1, 1, 0]])
+    pchk = linalg.FqMatrix.from_rows(ctx, [[0, 0, 1]])
+    with pytest.raises(PreconditionViolatedError):
+        sl.min_distance(code_mod.LinearCode(ctx, gen, pchk))
 
 
 def test_codeword_stream_matches_naive_multiplication(f5_code):

@@ -1,6 +1,7 @@
 """S_h machinery: worked-example spans and verdicts, the counting law, the
 closure operations, and the exhaustive search against a powerset oracle."""
 
+import functools
 import itertools
 import math
 import random
@@ -357,22 +358,25 @@ def test_candidate_rejects_oversized_h(f2):
 # exhaustive search
 # ---------------------------------------------------------------------------
 
-def bruteforce_max(ctx, r, h, mode="linear"):
-    """Powerset oracle for tiny spaces: test every subset of F_q^r."""
+@functools.lru_cache(maxsize=None)
+def bruteforce_max(ctx, r, h, mode="linear", zero=False):
+    """Powerset oracle for tiny spaces: test every subset of F_q^r (that
+    contains 0, if zero) in lexicographic order. Returns the maximum size
+    and the first maximum subset, or (0, None)."""
     vectors = [linalg.decode_vector(ctx, r, c) for c in range(ctx.q ** r)]
     check = sl.is_sh_linear if mode == "linear" else sl.is_sh_set
-    best = 0
+    best, first = 0, None
     for size in range(h, len(vectors) + 1):
-        found = False
-        for subset in itertools.combinations(vectors, size):
-            cand = shset.ShSetCandidate(ctx, r, subset, h)
-            if check(cand):
-                best = size
-                found = True
-                break
-        if not found:
+        found = next(
+            (subset for subset in itertools.combinations(vectors, size)
+             if (not zero or subset[0].is_zero())
+             and check(shset.ShSetCandidate(ctx, r, subset, h))),
+            None,
+        )
+        if found is None:
             break
-    return best
+        best, first = size, found
+    return best, first
 
 
 def test_search_max_binary_r4_is_six(f2):
@@ -393,14 +397,49 @@ def test_search_max_binary_r5_with_zero_is_seven(f2):
 @pytest.mark.parametrize("r,h", [(2, 1), (2, 2), (3, 2), (3, 3)])
 def test_search_matches_powerset_oracle_f2(f2, r, h):
     size, _ = sl.exhaustive_max_sh_set(f2, r, h)
-    assert size == bruteforce_max(f2, r, h)
+    assert size == bruteforce_max(f2, r, h)[0]
 
 
 def test_search_matches_powerset_oracle_f3(f3):
     size, _ = sl.exhaustive_max_sh_set(f3, 2, 2)
-    assert size == bruteforce_max(f3, 2, 2)
+    assert size == bruteforce_max(f3, 2, 2)[0]
     plain, _ = sl.exhaustive_max_sh_set(f3, 2, 2, mode="plain")
-    assert plain == bruteforce_max(f3, 2, 2, mode="plain")
+    assert plain == bruteforce_max(f3, 2, 2, mode="plain")[0]
+
+
+@pytest.mark.parametrize("q,r,h,mode,zero,packed", [
+    (q, r, h, mode, zero, packed)
+    for q, r in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2))
+    for h in (1, 2, 3)
+    for mode in ("linear", "plain")
+    for zero in (False, True)
+    for packed in ((None, False) if q == 2 else (None,))
+])
+def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, packed):
+    ctx = sl.field_of_order(q)
+    size, witness = sl.exhaustive_max_sh_set(
+        ctx, r, h, must_contain_zero=zero, mode=mode, packed=packed
+    )
+    assert (size, witness.elems if witness else None) == bruteforce_max(ctx, r, h, mode, zero)
+
+
+# (q, r, h, mode, packed) -> (maximum, witness codes), as returned before the
+# symmetry pruning of the search was introduced
+PINNED_SEARCHES = [
+    ((2, 5, 2, "linear", False), (7, (0, 1, 2, 4, 8, 15, 16))),
+    ((2, 5, 3, "linear", False), (6, (0, 1, 2, 4, 8, 16))),
+    ((3, 3, 2, "linear", None), (4, (0, 1, 3, 9))),
+    ((3, 3, 2, "plain", None), (6, (0, 1, 2, 3, 9, 24))),
+    ((5, 2, 2, "linear", None), (3, (0, 1, 5))),
+    ((5, 2, 2, "plain", None), (6, (0, 1, 2, 5, 10, 24))),
+]
+
+
+@pytest.mark.parametrize("case,expected", PINNED_SEARCHES)
+def test_search_witness_is_pinned(case, expected):
+    q, r, h, mode, packed = case
+    size, witness = sl.exhaustive_max_sh_set(sl.field_of_order(q), r, h, mode=mode, packed=packed)
+    assert (size, tuple(v.encode() for v in witness.elems)) == expected
 
 
 def test_packed_and_generic_paths_agree(f2):
@@ -411,6 +450,47 @@ def test_packed_and_generic_paths_agree(f2):
         assert packed_witness.elems == generic_witness.elems
 
 
+@pytest.mark.parametrize("q,r,packed,lut", [
+    (2, 4, True, True), (2, 4, False, True), (3, 3, False, True), (4, 2, False, True),
+    (5, 2, False, True), (3, 3, False, False), (4, 2, False, False),
+])
+def test_engine_span_matches_elimination(monkeypatch, q, r, packed, lut):
+    """Each engine's incremental span agrees with linalg.in_span on every
+    vector after each push and pop of a random sequence."""
+    if not lut:
+        monkeypatch.setattr(shset, "LUT_SPACE_CAP", 1)
+    ctx = sl.field_of_order(q)
+    engine = shset._make_engine(ctx, r, 2, plain=False, use_packed=packed)
+    vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
+    rng = random.Random(q * 10 + r)
+    pushed = []
+
+    def check():
+        elems = [vectors[c] for c in pushed]
+        for code, v in enumerate(vectors):
+            assert engine.in_span(code) == linalg.in_span(v, elems)
+
+    for _ in range(3):
+        for code in rng.sample(range(q ** r), r + 1):
+            engine.push(code, [])
+            pushed.append(code)
+            check()
+        for _ in range(rng.randint(1, r)):
+            engine.pop([])
+            pushed.pop()
+            check()
+
+
+def test_tuple_and_table_engines_agree(monkeypatch, f3):
+    f4 = sl.field_of_order(4)
+    cases = [(f3, 3, 2, "linear"), (f3, 3, 2, "plain"), (f4, 3, 2, "linear"), (f3, 3, 3, "linear")]
+    expected = [sl.exhaustive_max_sh_set(ctx, r, h, mode=mode) for ctx, r, h, mode in cases]
+    monkeypatch.setattr(shset, "LUT_SPACE_CAP", 1)  # coordinate tuples for every space
+    for (ctx, r, h, mode), (size, witness) in zip(cases, expected):
+        got_size, got = sl.exhaustive_max_sh_set(ctx, r, h, mode=mode)
+        assert (got_size, got.elems) == (size, witness.elems)
+
+
 def test_plain_mode_never_below_linear_mode(f3, f5):
     for ctx, r, h in ((f3, 2, 2), (f3, 3, 2), (f5, 2, 2)):
         linear, _ = sl.exhaustive_max_sh_set(ctx, r, h)
@@ -418,11 +498,22 @@ def test_plain_mode_never_below_linear_mode(f3, f5):
         assert plain >= linear
 
 
-@pytest.mark.slow
 def test_search_max_ternary_r4_is_six(f3):
-    # roughly two minutes of pure-Python enumeration; run with `pytest -m slow`
     size, witness = sl.exhaustive_max_sh_set(f3, 4, 2)
     assert size == 6
+    assert sl.is_sh_linear(witness)
+
+
+def test_search_max_binary_r6_is_nine(f2):
+    # the sh-table cell q=2, r=6, h=2 of the shipped snapshot
+    size, witness = sl.exhaustive_max_sh_set(f2, 6, 2)
+    assert size == 9
+    assert sl.is_sh_linear(witness)
+
+
+def test_search_max_quinary_r3_is_four(f5):
+    size, witness = sl.exhaustive_max_sh_set(f5, 3, 2)
+    assert size == 4
     assert sl.is_sh_linear(witness)
 
 
