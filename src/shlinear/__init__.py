@@ -37,6 +37,7 @@ from .shset import (
     count_h_combinations,
     enumerate_h_combinations,
     exhaustive_max_sh_set,
+    extend_to_maximal,
     h_span,
     is_sh_linear,
     is_sh_set,
@@ -47,7 +48,6 @@ from .shset import (
 from .correspond import (
     CorrespondenceReport,
     code_to_set,
-    extend_to_maximal,
     round_trip_check,
     set_to_code,
 )

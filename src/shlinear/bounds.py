@@ -18,21 +18,26 @@ Cells with no qualifying entry get the sentinel X.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
+from operator import ne
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
+    CertificateCountError,
     InvalidParameterError,
     NoWitnessError,
     ParseError,
     SingletonViolationError,
 )
+from .gf import field_of_order
 
 DEFAULT_SEARCH_BUDGET = 500_000
-RECHECK_CAP = 250_000
+RECHECK_CAP = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -185,50 +190,73 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
     return num // den
 
 
-def _rref_generators_f2(n: int, k: int):
-    """All full-rank k x n RREF matrices over F_2 as row bitmask tuples."""
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, c)
-            for i, p in enumerate(pivots)
-            for c in range(p + 1, n)
-            if c not in pivot_set
-        ]
-        base = [1 << (n - 1 - p) for p in pivots]
-        for bits in range(1 << len(free)):
-            rows = list(base)
-            for t, (i, c) in enumerate(free):
-                if (bits >> t) & 1:
-                    rows[i] |= 1 << (n - 1 - c)
-            yield rows
+def _free_columns(n: int, pivots: Sequence[int]) -> List[List[int]]:
+    """Row i of an RREF matrix with these pivots holds 1 at pivots[i], any
+    value at each column of the i-th list, and 0 everywhere else."""
+    pivot_set = set(pivots)
+    return [[c for c in range(p + 1, n) if c not in pivot_set] for p in pivots]
 
 
-def _rref_generators_fq(n: int, k: int, q: int):
-    """All full-rank k x n RREF matrices over F_q as coordinate rows."""
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, c)
-            for i, p in enumerate(pivots)
-            for c in range(p + 1, n)
-            if c not in pivot_set
-        ]
-        for assignment in itertools.product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, c), val in zip(free, assignment):
-                rows[i][c] = val
-            yield rows
+def _row_masks_f2(n: int, pivot: int, free: Sequence[int]):
+    """Row bitmasks (column j is bit n-1-j) in binary-counter order: bit t
+    of the counter sets free[t], so the first free column is the lowest bit."""
+    picks = [(0, 1 << (n - 1 - c)) for c in reversed(free)]
+    base = 1 << (n - 1 - pivot)
+    return (base | sum(pick) for pick in itertools.product(*picks))
+
+
+def _rows_fq(n: int, pivot: int, free: Sequence[int], q: int):
+    """Row tuples in itertools.product order: the first free column varies
+    slowest."""
+    row = [0] * n
+    row[pivot] = 1
+    for values in itertools.product(range(q), repeat=len(free)):
+        for c, v in zip(free, values):
+            row[c] = v
+        yield tuple(row)
+
+
+def _walk(levels, below, light, extend, span, chosen) -> int:
+    """Depth-first search over the generator matrices of one pivot set that
+    extend the rows in `chosen`, one row per level, outermost level first.
+    `levels[i]` iterates the values of that row, `below[i]` is the number
+    of completions of a prefix ending at level i, `light(row, span)` tells
+    whether a codeword with coefficient 1 on `row` plus a word of `span`
+    (the code of the rows fixed above) has weight < d, and `extend` returns
+    the code spanned with one more row.
+
+    Once a prefix has such a word, so does every completion: the whole
+    subtree is decided without being visited. Returns the number of codes
+    decided; it stops at the first code without such a word, counted, and
+    leaves its rows in `chosen`."""
+    level = len(chosen)
+    checked = 0
+    for row in levels[level]:
+        if light(row, span):
+            checked += below[level]
+            continue
+        chosen.append(row)
+        if level == len(levels) - 1:
+            return checked + 1
+        checked += _walk(levels, below, light, extend, extend(span, row), chosen)
+        if len(chosen) == len(levels):
+            return checked
+        chosen.pop()
+    return checked
 
 
 def exists_code_with_distance(
     q: int, n: int, k: int, d: int, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> ExhaustiveCertificate:
-    """Enumerate every [n, k] code over F_q and decide whether one reaches
-    minimum distance >= d. Raises BudgetExceededError when the number of
-    candidate codes (the Gaussian binomial) exceeds the budget."""
+    """Decide whether some [n, k] code over F_q reaches minimum distance
+    >= d, over every RREF generator matrix in a fixed order: pivot sets in
+    itertools.combinations order; over F_2 the free entries count up as one
+    binary integer whose lowest bit is the first free column of row 0,
+    over F_q they run in itertools.product order. `candidates` counts the
+    codes decided, visited or ruled out together with a prefix that already
+    spans a word of weight < d; it is the Gaussian binomial for "none".
+    Raises BudgetExceededError when that number exceeds the budget."""
+    ctx = field_of_order(q)
     count = gaussian_binomial(n, k, q)
     if count > budget:
         raise BudgetExceededError(
@@ -236,46 +264,50 @@ def exists_code_with_distance(
         )
     if k == 0:
         return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
-    checked = 0
     if q == 2:
-        for rows in _rref_generators_f2(n, k):
-            checked += 1
-            good = True
-            word = 0
-            for msg in range(1, 1 << k):
-                word ^= rows[(msg & -msg).bit_length() - 1]
-                if word.bit_count() < d:
-                    good = False
-                    break
-            if good:
-                witness = tuple(
-                    tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in rows
-                )
-                return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
-        return ExhaustiveCertificate(q, n, k, d, False, checked)
-    from .gf import field_of_order
-
-    ctx = field_of_order(q)
-    add, mul = ctx._add, ctx._mul
-    for rows in _rref_generators_fq(n, k, q):
-        checked += 1
-        good = True
-        for msg in itertools.product(range(q), repeat=k):
-            if not any(msg):
-                continue
-            weight = 0
-            for j in range(n):
-                acc = 0
-                for i in range(k):
-                    if msg[i] and rows[i][j]:
-                        acc = add[acc][mul[msg[i]][rows[i][j]]]
-                if acc:
-                    weight += 1
-            if weight < d:
-                good = False
-                break
-        if good:
-            return ExhaustiveCertificate(q, n, k, d, True, checked, tuple(tuple(r) for r in rows))
+        # the highest counter bits belong to row k-1, so it is the outermost
+        order = range(k - 1, -1, -1)
+        rows_of = _row_masks_f2
+        light = lambda row, span: any((row ^ w).bit_count() < d for w in span)
+        extend = lambda span, row: span + [row ^ w for w in span]
+        span = [0]
+        witness = lambda rows: tuple(
+            tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in reversed(rows)
+        )
+    else:
+        order = range(k)
+        rows_of = functools.partial(_rows_fq, q=q)
+        add, mul = ctx._add, ctx._mul
+        # span holds the negated codewords: row + w has weight
+        # #{j : row[j] != -w[j]}, and since -(c*row + w) = (-c)*row - w, the
+        # negated code with one more row is {c*row + neg : c in F_q}
+        light = lambda row, span: any(sum(map(ne, row, neg)) < d for neg in span)
+        extend = lambda span, row: [
+            tuple(add[a][b] for a, b in zip(scaled, neg))
+            for scaled in [tuple(mul[c][x] for x in row) for c in range(q)]
+            for neg in span
+        ]
+        span = [(0,) * n]
+        witness = tuple
+    checked = 0
+    for pivots in itertools.combinations(range(n), k):
+        free = _free_columns(n, pivots)
+        levels = [rows_of(n, pivots[i], free[i]) for i in order]
+        # inner rows are revisited under every prefix; the outermost row is
+        # walked once, so only it stays lazy. An inner row has at most n-k
+        # free columns and count >= q^(k(n-k)), so its list holds at most
+        # sqrt(count) rows.
+        levels[1:] = [list(rows) for rows in levels[1:]]
+        sizes = [q ** len(free[i]) for i in order]
+        below = [math.prod(sizes[i + 1:]) for i in range(k)]
+        rows = []
+        checked += _walk(levels, below, light, extend, span, rows)
+        if rows:
+            return ExhaustiveCertificate(q, n, k, d, True, checked, witness(rows))
+    if checked != count:
+        raise CertificateCountError(
+            f"enumeration of [{n},{k}] codes over F_{q} decided {checked} of {count}"
+        )
     return ExhaustiveCertificate(q, n, k, d, False, checked)
 
 
@@ -488,7 +520,7 @@ def revalidate(result: BoundResult, recheck_cap: int = RECHECK_CAP) -> List[str]
             if gaussian_binomial(item.n, item.k, item.q) > recheck_cap:
                 continue
             rerun = exists_code_with_distance(item.q, item.n, item.k, item.d, recheck_cap)
-            if rerun.exists != item.exists or rerun.candidates != item.candidates:
+            if rerun != item:
                 problems.append(f"certificate did not reproduce: {item} vs {rerun}")
         else:
             problems.append(f"unknown provenance item {item!r}")

@@ -11,10 +11,8 @@ import argparse
 import functools
 import itertools
 import math
-import os
 import random
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
@@ -26,30 +24,12 @@ from .gf import field_of_order
 from .linalg import FqMatrix, decode_vector
 
 
-@dataclass
-class RunConfig:
-    """Validated run parameters for one dispatch."""
-
-    subcommand: str
-    input_paths: List[Path] = field(default_factory=list)
-    h: Optional[int] = None
-    out: Optional[Path] = None
-    threads: int = 0
-    verbose: bool = False
-
-    def check_inputs(self) -> None:
-        for p in self.input_paths:
-            if not p.exists():
-                raise UsageError(f"input file not found: {p}")
+def _check_input(path: str) -> None:
+    if not Path(path).exists():
+        raise UsageError(f"input file not found: {path}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="upper bound on worker parallelism (current implementation is sequential)",
-    )
     parser.add_argument("-v", "--verbose", action="store_true")
 
 
@@ -164,7 +144,7 @@ def _print_witness(witness: shset.CollisionWitness) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    RunConfig("verify", [Path(args.set_path)], h=args.h).check_inputs()
+    _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
     check = shset.check_sh_linear if args.mode == "linear" else shset.check_sh_set
     witness = check(candidate)
@@ -176,7 +156,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_hspan(args) -> int:
-    RunConfig("hspan", [Path(args.set_path)], h=args.h, out=Path(args.out)).check_inputs()
+    _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
     values = sorted(shset.h_span(candidate), key=lambda v: v.encode())
     fileio.save_vectors(args.out, candidate.ctx, candidate.r, values)
@@ -193,7 +173,7 @@ def _load_code(matrix_path: str, role: str) -> code_mod.LinearCode:
 
 
 def _cmd_mindist(args) -> int:
-    RunConfig("mindist", [Path(args.matrix)]).check_inputs()
+    _check_input(args.matrix)
     built = _load_code(args.matrix, args.role)
     if args.at_least is not None:
         ok, witness = code_mod.distance_at_least(built, args.at_least)
@@ -209,7 +189,7 @@ def _cmd_mindist(args) -> int:
 
 
 def _cmd_to_set(args) -> int:
-    RunConfig("to-set", [Path(args.matrix)], h=args.h, out=Path(args.out)).check_inputs()
+    _check_input(args.matrix)
     built = _load_code(args.matrix, "parity")
     ok, witness = code_mod.distance_at_least(built, 2 * args.h + 1)
     if not ok:
@@ -229,7 +209,7 @@ def _cmd_to_set(args) -> int:
 
 
 def _cmd_to_code(args) -> int:
-    RunConfig("to-code", [Path(args.set_path)], h=args.h, out=Path(args.out)).check_inputs()
+    _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
     try:
         built = correspond.set_to_code(candidate)
@@ -249,9 +229,9 @@ def _cmd_to_code(args) -> int:
 
 
 def _cmd_extend(args) -> int:
-    RunConfig("extend", [Path(args.set_path)], h=args.h).check_inputs()
+    _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
-    extended = correspond.extend_to_maximal(candidate)
+    extended = shset.extend_to_maximal(candidate)
     print("direction=extend_to_maximal")
     print(f"initial_size={len(candidate)}")
     print(f"maximal_size={len(extended)}")
@@ -281,7 +261,7 @@ def _cmd_search_max(args) -> int:
 
 def _cmd_bounds(args) -> int:
     if args.bounds_command == "ingest":
-        RunConfig("bounds-ingest", [Path(args.file)]).check_inputs()
+        _check_input(args.file)
         entries = bounds_mod.ingest_table(args.file)
         print(f"entries={len(entries)}")
         return 0
@@ -386,6 +366,22 @@ def _cmd_selftest(args) -> int:
             size, witness = shset.exhaustive_max_sh_set(ctx, r, h, mode=mode)
             ok = ok and (size, witness.elems if witness else ()) == (len(first), first)
     check("search_oracle_agreement", ok)
+
+    # the pruned RREF code enumeration decides as a scan of every k x n
+    # generator matrix does, and its witness reaches the distance
+    ok = True
+    for q, n, k, d in ((2, 5, 2, 3), (2, 5, 2, 4), (3, 4, 2, 3), (3, 4, 2, 4)):
+        ctx = field_of_order(q)
+
+        def reaches(rows, ctx=ctx, k=k, d=d) -> bool:
+            built = code_mod.from_generator(FqMatrix.from_rows(ctx, rows))
+            return built.k == k and code_mod.min_distance(built) >= d
+
+        matrices = itertools.product(itertools.product(range(q), repeat=n), repeat=k)
+        cert = bounds_mod.exists_code_with_distance(q, n, k, d)
+        ok = ok and cert.exists == any(reaches(rows) for rows in matrices)
+        ok = ok and (not cert.exists or reaches(cert.witness_rows))
+    check("certificate_oracle_agreement", ok)
 
     # two distance algorithms agree on random small binary codes
     ok = True

@@ -136,11 +136,6 @@ def set_to_code(candidate: ShSetCandidate) -> LinearCode:
     return built
 
 
-def extend_to_maximal(candidate: ShSetCandidate) -> ShSetCandidate:
-    """Greedy maximal extension (canonical scan order); see shset module."""
-    return shset.extend_to_maximal(candidate)
-
-
 def round_trip_check(code: LinearCode, h: int, budget: int = 10 ** 6) -> CorrespondenceReport:
     """set_to_code(code_to_set(code, h)) must reproduce (n, k) and the
     codeword set up to the column permutation induced by canonical column

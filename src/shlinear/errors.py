@@ -101,3 +101,7 @@ class NoWitnessError(ShlinearError, LookupError):
 
 class UsageError(ShlinearError, ValueError):
     """Invalid command-line usage."""
+
+
+class CertificateCountError(ShlinearError, RuntimeError):
+    """An exhaustive enumeration did not decide every candidate code."""

@@ -7,7 +7,9 @@ from __future__ import annotations
 import itertools
 from typing import List, Optional, Sequence, Tuple
 
-from shlinear.gf import FieldCtx
+from shlinear.bounds import ExhaustiveCertificate, gaussian_binomial
+from shlinear.errors import BudgetExceededError
+from shlinear.gf import FieldCtx, field_of_order
 from shlinear.linalg import FqVector
 from shlinear.shset import IncrementalChecker, ShSetCandidate
 
@@ -102,6 +104,101 @@ def bruteforce_min_weight(ctx: FieldCtx, gen_rows: Sequence[Sequence[int]], n: i
         if best is None or w < best:
             best = w
     return best
+
+
+# ---------------------------------------------------------------------------
+# unpruned code enumeration: every RREF generator matrix, every codeword
+# ---------------------------------------------------------------------------
+
+def rref_generators_f2(n: int, k: int):
+    """All full-rank k x n RREF matrices over F_2 as row bitmask tuples."""
+    for pivots in itertools.combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [
+            (i, c)
+            for i, p in enumerate(pivots)
+            for c in range(p + 1, n)
+            if c not in pivot_set
+        ]
+        base = [1 << (n - 1 - p) for p in pivots]
+        for bits in range(1 << len(free)):
+            rows = list(base)
+            for t, (i, c) in enumerate(free):
+                if (bits >> t) & 1:
+                    rows[i] |= 1 << (n - 1 - c)
+            yield rows
+
+
+def rref_generators_fq(n: int, k: int, q: int):
+    """All full-rank k x n RREF matrices over F_q as coordinate rows."""
+    for pivots in itertools.combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [
+            (i, c)
+            for i, p in enumerate(pivots)
+            for c in range(p + 1, n)
+            if c not in pivot_set
+        ]
+        for assignment in itertools.product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, p in enumerate(pivots):
+                rows[i][p] = 1
+            for (i, c), val in zip(free, assignment):
+                rows[i][c] = val
+            yield rows
+
+
+def reference_exists_code_with_distance(
+    q: int, n: int, k: int, d: int, budget: int
+) -> ExhaustiveCertificate:
+    """Generate-and-test reference for bounds.exists_code_with_distance:
+    visits every candidate in the same order and tests every codeword."""
+    count = gaussian_binomial(n, k, q)
+    if count > budget:
+        raise BudgetExceededError(
+            f"{count} candidate [{n},{k}] codes over F_{q} exceed budget {budget}"
+        )
+    if k == 0:
+        return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
+    checked = 0
+    if q == 2:
+        for rows in rref_generators_f2(n, k):
+            checked += 1
+            good = True
+            word = 0
+            for msg in range(1, 1 << k):
+                word ^= rows[(msg & -msg).bit_length() - 1]
+                if word.bit_count() < d:
+                    good = False
+                    break
+            if good:
+                witness = tuple(
+                    tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in rows
+                )
+                return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
+        return ExhaustiveCertificate(q, n, k, d, False, checked)
+    ctx = field_of_order(q)
+    add, mul = ctx._add, ctx._mul
+    for rows in rref_generators_fq(n, k, q):
+        checked += 1
+        good = True
+        for msg in itertools.product(range(q), repeat=k):
+            if not any(msg):
+                continue
+            weight = 0
+            for j in range(n):
+                acc = 0
+                for i in range(k):
+                    if msg[i] and rows[i][j]:
+                        acc = add[acc][mul[msg[i]][rows[i][j]]]
+                if acc:
+                    weight += 1
+            if weight < d:
+                good = False
+                break
+        if good:
+            return ExhaustiveCertificate(q, n, k, d, True, checked, tuple(tuple(r) for r in rows))
+    return ExhaustiveCertificate(q, n, k, d, False, checked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,17 @@
 """Snapshot ingestion, exhaustive certificates, and the derived bounds."""
 
+import functools
+import itertools
 import math
 
 import pytest
+from helpers import reference_exists_code_with_distance
 
 import shlinear as sl
 from shlinear import bounds, linalg
 from shlinear.errors import (
     BudgetExceededError,
+    CertificateCountError,
     NoWitnessError,
     ParseError,
     SingletonViolationError,
@@ -88,19 +92,62 @@ def test_gaussian_binomial_counts():
 
 
 def test_rref_enumeration_is_exhaustive_and_distinct():
-    seen = set()
-    for rows in bounds._rref_generators_f2(5, 2):
-        words = []
-        for msg in range(1, 4):
-            w = 0
-            for i in range(2):
-                if (msg >> i) & 1:
-                    w ^= rows[i]
-            words.append(w)
-        key = frozenset(words)
-        assert key not in seen  # each subspace generated exactly once
-        seen.add(key)
-    assert len(seen) == bounds.gaussian_binomial(5, 2, 2)
+    """The per-pivot row builders of exists_code_with_distance generate each
+    k-dimensional subspace exactly once."""
+    for q, n, k, rows_of in (
+        (2, 5, 2, bounds._row_masks_f2),
+        (3, 4, 2, functools.partial(bounds._rows_fq, q=3)),
+    ):
+        f = sl.field_of_order(q)
+        seen = set()
+        for pivots in itertools.combinations(range(n), k):
+            free = bounds._free_columns(n, pivots)
+            for rows in itertools.product(*(rows_of(n, p, c) for p, c in zip(pivots, free))):
+                if q == 2:
+                    rows = [tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in rows]
+                key = frozenset(
+                    tuple(
+                        functools.reduce(f.add, (f.mul(c, row[j]) for c, row in zip(msg, rows)), 0)
+                        for j in range(n)
+                    )
+                    for msg in itertools.product(range(q), repeat=k)
+                )
+                assert key not in seen  # each subspace generated exactly once
+                seen.add(key)
+        assert len(seen) == bounds.gaussian_binomial(n, k, q)
+
+
+def test_certificates_equal_the_unpruned_reference():
+    """Verdict, candidate count and witness equal those of the generate-and-
+    test enumeration on every small cell."""
+    cases = 0
+    for q in (2, 3, 4, 5):
+        for n in range(1, 7):
+            for k in range(n + 1):
+                if bounds.gaussian_binomial(n, k, q) > 1000:
+                    continue
+                for d in range(1, n - k + 3):
+                    expected = reference_exists_code_with_distance(q, n, k, d, 10 ** 6)
+                    assert bounds.exists_code_with_distance(q, n, k, d) == expected
+                    cases += 1
+    assert cases == 343
+
+
+@pytest.mark.parametrize("q, n, k, d, exists, candidates, witness", [
+    (3, 7, 3, 5, False, 925_771, None),
+    (2, 9, 3, 7, False, 788_035, None),
+    (3, 7, 2, 5, True, 9_816, ((1, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 1, 1, 2))),
+    (4, 6, 1, 5, True, 86, ((1, 0, 1, 1, 1, 1),)),
+])
+def test_certify_cells_are_pinned(q, n, k, d, exists, candidates, witness):
+    cert = bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)
+    assert cert == bounds.ExhaustiveCertificate(q, n, k, d, exists, candidates, witness)
+
+
+def test_none_certificate_must_count_every_code(monkeypatch):
+    monkeypatch.setattr(bounds, "gaussian_binomial", lambda n, k, q: 97156)
+    with pytest.raises(CertificateCountError):
+        bounds.exists_code_with_distance(2, 8, 3, 5)
 
 
 def test_repetition_code_found_by_search():
@@ -256,4 +303,14 @@ def test_revalidate_flags_corrupt_certificate():
     fake = bounds.ExhaustiveCertificate(2, 5, 1, 5, exists=False, candidates=31)
     result = bounds.BoundResult("vbar_exact", 4, (fake,))
     problems = bounds.revalidate(result)
+    assert problems and "did not reproduce" in problems[0]
+
+
+def test_revalidate_reruns_million_size_certificates():
+    result = bounds.vbar_exact([], 3, 2, 7, budget=10 ** 6)
+    cert = result.provenance[-1]
+    assert (cert.n, cert.k, cert.candidates) == (7, 3, 925_771)
+    assert bounds.revalidate(result) == []
+    fake = bounds.ExhaustiveCertificate(3, 7, 3, 5, exists=False, candidates=925_770)
+    problems = bounds.revalidate(bounds.BoundResult("vbar_exact", 5, (fake,)))
     assert problems and "did not reproduce" in problems[0]

@@ -183,6 +183,7 @@ def test_selftest(capsys):
     assert "counting_law: pass" in out
     assert "packed_generic_agreement: pass" in out
     assert "search_oracle_agreement: pass" in out
+    assert "certificate_oracle_agreement: pass" in out
     assert "distance_cross_validation: pass" in out
 
 
@@ -194,6 +195,16 @@ def test_bad_parameters_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("q, message", [
+    ("1", "field order must be >= 2"),
+    ("6", "not a prime power"),
+])
+def test_vbar_exact_bad_field_order_exit_2(capsys, q, message):
+    code, _, err = run(capsys, "bounds", "vbar", "--exact", "--q", q, "--h", "2", "--n", "8")
+    assert code == 2
+    assert err.startswith("error: ") and message in err
 
 
 def test_verify_repeated_vector_exit_2(tmp_path, capsys):
