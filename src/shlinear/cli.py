@@ -383,20 +383,21 @@ def _cmd_selftest(args) -> int:
         ok = ok and (not cert.exists or reaches(cert.witness_rows))
     check("certificate_oracle_agreement", ok)
 
-    # two distance algorithms agree on random small binary codes
+    # two distance algorithms agree on random small binary and ternary codes
     ok = True
-    for _ in range(max(3, args.trials // 5)):
-        n = rng.randint(4, 8)
-        k = rng.randint(1, 3)
-        rows = [[rng.randrange(2) for _ in range(n)] for _ in range(k)]
-        built = code_mod.from_generator(FqMatrix.from_rows(ctx2, rows))
-        if built.k == 0:
-            continue
-        d = code_mod.min_distance(built)
-        lo = max(
-            dd for dd in range(1, n + 2) if code_mod.distance_at_least(built, dd)[0]
-        )
-        ok = ok and d == lo
+    for ctx in (ctx2, field_of_order(3)):
+        for _ in range(max(3, args.trials // 5)):
+            n = rng.randint(4, 8)
+            k = rng.randint(1, 3)
+            rows = [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(k)]
+            built = code_mod.from_generator(FqMatrix.from_rows(ctx, rows))
+            if built.k == 0:
+                continue
+            d = code_mod.min_distance(built)
+            lo = max(
+                dd for dd in range(1, n + 2) if code_mod.distance_at_least(built, dd)[0]
+            )
+            ok = ok and d == lo
     check("distance_cross_validation", ok)
 
     return 1 if failures else 0

@@ -10,15 +10,28 @@ distance is computed two independent ways on purpose:
     subset when not).
 
 Each is the oracle for the other; the test suite cross-validates them.
+
+distance_at_least walks the column subsets of each size s = 1..d-1 depth
+first, choosing the largest column first and counting up at each level, so
+the subsets come in colex order and the witness is the colex-first
+dependent subset of the smallest dependent size. The chosen columns are
+kept on a linalg.EchelonStack. No proper prefix of a size-s subset can be
+dependent, since it is a smaller subset and every smaller subset passed
+already, so each subset costs one reduction of its smallest column against
+the s-1 columns on the stack.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from .errors import BudgetExceededError, DimensionMismatchError, PreconditionViolatedError
+from .errors import (
+    BudgetExceededError,
+    DimensionMismatchError,
+    InvalidParameterError,
+    PreconditionViolatedError,
+)
 from . import linalg
 from .gf import FieldCtx
 from .linalg import FqMatrix, FqVector
@@ -218,22 +231,30 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
     return best
 
 
-def _subsets_colex(n: int, size: int) -> Iterator[Tuple[int, ...]]:
-    """Size-subsets of range(n) in colexicographic order."""
-    if size == 0:
-        yield ()
-        return
-    for top in range(size - 1, n):
-        for rest in _subsets_colex(top, size - 1):
-            yield rest + (top,)
+def _first_dependent(
+    stack: linalg.EchelonStack, size: int, below: int
+) -> Optional[Tuple[int, ...]]:
+    """The colex-first `size` columns from range(below) that are dependent
+    together with the columns on the stack: the largest column is chosen
+    first, and each level counts up."""
+    if size == 1:
+        leaf = next(filter(stack.in_span, range(below)), None)
+        return None if leaf is None else (leaf,)
+    for top in range(size - 1, below):
+        stack.push(top)
+        rest = _first_dependent(stack, size - 1, top)
+        stack.pop()
+        if rest is not None:
+            return rest + (top,)
+    return None
 
 
 def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """True iff every subset of <= d-1 parity-check columns is linearly
     independent. On failure returns the first dependent column subset found,
-    scanning sizes 1..d-1 in colex order."""
+    scanning sizes 1..d-1 in colex order (see the module docstring)."""
     if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+        raise InvalidParameterError(f"d must be >= 1, got {d}")
     if code.k == 0:
         return True, None
     if code.pchk.rows == 0:
@@ -242,12 +263,10 @@ def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[in
         if d == 1:
             return True, None
         return False, (0,)
-    columns = code.pchk.column_vectors()
-    for size in range(1, d):
-        if size > len(columns):
-            break
-        for subset in _subsets_colex(len(columns), size):
-            if not linalg.is_linearly_independent([columns[j] for j in subset]):
-                return False, subset
+    stack = linalg.EchelonStack(code.pchk.column_vectors())
+    for size in range(1, min(d, code.n + 1)):
+        witness = _first_dependent(stack, size, code.n)
+        if witness is not None:
+            return False, witness
     code.d_lower = max(code.d_lower, d)
     return True, None

@@ -327,6 +327,64 @@ def extract_basis(vectors: Sequence[FqVector]) -> List[FqVector]:
     return basis
 
 
+class EchelonStack:
+    """Echelon basis of a stack of vectors drawn from a fixed list, with push
+    and pop. Each row is the pushed vector reduced by the rows below it, so
+    a span test costs one pass over the rows and pop is a truncation.
+
+    Vectors are addressed by their index in the list, which is converted
+    once: over F_2 to packed ints reduced by XOR, otherwise to coordinate
+    tuples reduced with the field tables.
+    """
+
+    def __init__(self, vectors: Sequence[FqVector]):
+        self._ctx, _ = _common_frame(vectors)
+        self._packed = self._ctx.q == 2
+        if self._packed:
+            self._vectors: list = [gf2_pack(v.coords) for v in vectors]
+        else:
+            self._vectors = [v.coords for v in vectors]
+        self._rows: list = []
+        self._ranks: List[int] = []
+
+    def in_span(self, i: int) -> bool:
+        """True iff vectors[i] lies in the span of the stack."""
+        return not self._reduce(self._vectors[i])
+
+    def push(self, i: int) -> bool:
+        """Push vectors[i]; True iff it lies outside the span of the stack
+        (the rank grew). Every push is undone by one pop."""
+        self._ranks.append(len(self._rows))
+        residue = self._reduce(self._vectors[i])
+        if not residue:
+            return False
+        if not self._packed:
+            # (pivot, coords, f): adding mul[f][c] * coords clears a c at pivot
+            pivot = next(j for j, c in enumerate(residue) if c)
+            ctx = self._ctx
+            residue = pivot, residue, ctx._neg[ctx._inv[residue[pivot]]]
+        self._rows.append(residue)
+        return True
+
+    def pop(self) -> None:
+        del self._rows[self._ranks.pop():]
+
+    def _reduce(self, v):
+        """v reduced by every row of the stack: falsy iff v lies in its span."""
+        if self._packed:
+            # XOR with a row clears the row's leading bit when v has it set
+            for row in self._rows:
+                v = min(v, v ^ row)
+            return v
+        add, mul = self._ctx._add, self._ctx._mul
+        for pivot, row, f in self._rows:
+            c = v[pivot]
+            if c:
+                m = mul[mul[f][c]]
+                v = [add[x][m[y]] for x, y in zip(v, row)]
+        return v if any(v) else None
+
+
 def span_size(vectors: Sequence[FqVector]) -> int:
     """|<vectors>| = q^rank; exact, no enumeration."""
     if not vectors:

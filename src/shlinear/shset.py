@@ -349,11 +349,25 @@ def check_2h_subsets_independent(candidate: ShSetCandidate) -> Optional[Tuple[Fq
             f"need 2h < r <= |A|; got h={h}, r={candidate.r}, |A|={len(candidate.elems)}"
         )
     nonzero = candidate.nonzero_elems()
-    if len(nonzero) < 2 * h:
-        return None
-    for subset in itertools.combinations(nonzero, 2 * h):
-        if not linalg.is_linearly_independent(list(subset)):
-            return subset
+    first = _first_dependent_lex(linalg.EchelonStack(nonzero), 0, 2 * h, len(nonzero))
+    return None if first is None else tuple(nonzero[i] for i in first)
+
+
+def _first_dependent_lex(
+    stack: linalg.EchelonStack, start: int, size: int, n: int
+) -> Optional[Tuple[int, ...]]:
+    """The lexicographically first `size` indices from range(start, n) that
+    are dependent together with the vectors on the stack. Every completion
+    of a dependent prefix is dependent, so the first one found is returned
+    with its first completion; the range of i leaves room for it."""
+    for i in range(start, n - size + 1):
+        if not stack.push(i):
+            stack.pop()
+            return tuple(range(i, i + size))
+        rest = _first_dependent_lex(stack, i + 1, size - 1, n) if size > 1 else None
+        stack.pop()
+        if rest is not None:
+            return (i,) + rest
     return None
 
 
@@ -713,6 +727,8 @@ def exhaustive_max_sh_set(
         raise InvalidParameterError(f"mode must be 'linear' or 'plain', got {mode!r}")
     if h < 1:
         raise InvalidParameterError(f"h must be >= 1, got {h}")
+    if r < 1:
+        raise InvalidParameterError(f"r must be >= 1, got {r}")
     if ctx.q ** r > SEARCH_SPACE_CAP:
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
     use_packed = ctx.q == 2 if packed is None else (packed and ctx.q == 2)

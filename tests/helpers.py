@@ -5,9 +5,11 @@ lookup tables and incremental machinery so they can vouch for them."""
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
+from shlinear import linalg
 from shlinear.bounds import ExhaustiveCertificate, gaussian_binomial
+from shlinear.code import LinearCode
 from shlinear.errors import BudgetExceededError
 from shlinear.gf import FieldCtx, field_of_order
 from shlinear.linalg import FqVector
@@ -104,6 +106,41 @@ def bruteforce_min_weight(ctx: FieldCtx, gen_rows: Sequence[Sequence[int]], n: i
         if best is None or w < best:
             best = w
     return best
+
+
+# ---------------------------------------------------------------------------
+# per-subset distance check: a fresh elimination for every column subset
+# ---------------------------------------------------------------------------
+
+def subsets_colex(n: int, size: int) -> Iterator[Tuple[int, ...]]:
+    """Size-subsets of range(n) in colexicographic order."""
+    if size == 0:
+        yield ()
+        return
+    for top in range(size - 1, n):
+        for rest in subsets_colex(top, size - 1):
+            yield rest + (top,)
+
+
+def reference_distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
+    """Reference for code.distance_at_least: the same scan of sizes 1..d-1
+    in colex order, testing each subset with its own elimination."""
+    if d < 1:
+        raise ValueError(f"d must be >= 1, got {d}")
+    if code.k == 0:
+        return True, None
+    if code.pchk.rows == 0:
+        if d == 1:
+            return True, None
+        return False, (0,)
+    columns = code.pchk.column_vectors()
+    for size in range(1, d):
+        if size > len(columns):
+            break
+        for subset in subsets_colex(len(columns), size):
+            if not linalg.is_linearly_independent([columns[j] for j in subset]):
+                return False, subset
+    return True, None
 
 
 # ---------------------------------------------------------------------------

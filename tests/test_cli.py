@@ -1,5 +1,7 @@
 """Command-line surface: exit codes, report formats, and file outputs."""
 
+import os
+
 import pytest
 
 from shlinear import cli, fileio, fixtures
@@ -190,6 +192,12 @@ def test_selftest(capsys):
 @pytest.mark.parametrize("argv", [
     ["search-max", "--q", "2", "--r", "3", "--h", "0"],
     ["bounds", "vbar", "--q", "2", "--h", "3", "--n", "5"],
+    ["mindist", "--matrix", fx(fixtures.PARITY_F2_8X8), "--at-least", "0"],
+    ["mindist", "--matrix", fx(fixtures.PARITY_F2_8X8), "--at-least", "-3"],
+    ["to-set", "--matrix", fx(fixtures.PARITY_F2_8X8), "--h", "-1", "--out", os.devnull],
+    ["search-max", "--q", "2", "--r", "-1", "--h", "2"],
+    ["search-max", "--q", "3", "--r", "0", "--h", "2"],
+    ["search-max", "--q", "3", "--r", "0", "--h", "1"],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

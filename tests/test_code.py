@@ -9,9 +9,9 @@ import pytest
 
 import shlinear as sl
 from shlinear import code as code_mod
-from shlinear import linalg
-from shlinear.errors import BudgetExceededError, PreconditionViolatedError
-from helpers import bruteforce_min_weight
+from shlinear import fixtures, linalg
+from shlinear.errors import BudgetExceededError, InvalidParameterError, PreconditionViolatedError
+from helpers import bruteforce_min_weight, reference_distance_at_least, subsets_colex
 
 
 def test_from_parity_check_parameters(f2_code_14, f2_code_8):
@@ -145,5 +145,73 @@ def test_d_known_write_once(f2):
 
 
 def test_colex_subset_order():
-    subsets = list(code_mod._subsets_colex(4, 2))
+    subsets = list(subsets_colex(4, 2))
     assert subsets == [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+
+
+def random_parity_checks(q, rng):
+    """Random parity checks with n <= 9, including zero columns, repeated
+    and parallel columns, rank-deficient rows and the r = 0 whole space."""
+    ctx = sl.field_of_order(q)
+    yield sl.from_generator(linalg.FqMatrix.identity(ctx, 3))  # r = 0
+    yield sl.from_parity_check(linalg.FqMatrix.identity(ctx, 3))  # k = 0
+    for i in range(30):
+        n = rng.randint(1, 9)
+        r = rng.randint(1, 6)
+        cols = [[rng.randrange(q) for _ in range(r)] for _ in range(n)]
+        j = rng.randrange(n)
+        if i % 3 == 1:
+            cols[j] = [0] * r
+        elif i % 3 == 2 and j:
+            c = rng.randrange(1, q)
+            cols[j] = [ctx.mul(c, x) for x in cols[rng.randrange(j)]]
+        rows = [[col[t] for col in cols] for t in range(r)]
+        yield sl.from_parity_check(linalg.FqMatrix.from_rows(ctx, rows))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_distance_at_least_equals_reference(q):
+    rng = random.Random(1000 + q)
+    verdicts = set()
+    for code in random_parity_checks(q, rng):
+        for d in range(1, code.n + 3):
+            got = sl.distance_at_least(code, d)
+            assert got == reference_distance_at_least(code, d), (code, d)
+            verdicts.add(got[0])
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name, d, witness", [
+    (fixtures.PARITY_F5_8X12, 7, (0, 2, 3, 4, 5, 7, 8)),
+    (fixtures.PARITY_F2_8X14, 5, (0, 2, 3, 4, 8)),
+    (fixtures.PARITY_F2_8X8, 5, (0, 1, 2, 5, 6)),
+])
+def test_distance_witness_is_pinned(name, d, witness):
+    code = sl.from_parity_check(fixtures.load_fixture_matrix(name))
+    assert sl.distance_at_least(code, d) == (True, None)
+    assert code.d_lower == d
+    assert sl.distance_at_least(code, d + 1) == (False, witness)
+    assert code.d_lower == d
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_distance_walk_pushes_only_independent_prefixes(q, monkeypatch):
+    pushes = []
+    push = linalg.EchelonStack.push
+
+    def recording_push(self, i):
+        pushes.append(push(self, i))
+        return pushes[-1]
+
+    monkeypatch.setattr(linalg.EchelonStack, "push", recording_push)
+    rng = random.Random(2000 + q)
+    for code in random_parity_checks(q, rng):
+        for d in range(1, code.n + 3):
+            sl.distance_at_least(code, d)
+    assert pushes and all(pushes)
+
+
+@pytest.mark.parametrize("d", [0, -3])
+def test_distance_at_least_rejects_bad_d(f2_code_8, d):
+    with pytest.raises(InvalidParameterError):
+        sl.distance_at_least(f2_code_8, d)

@@ -123,6 +123,28 @@ def test_in_span_ternary_r9_combination(ternary_r9_set):
     assert linalg.in_span(v, list(elems))
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_echelon_stack_matches_elimination(q):
+    ctx = sl.field_of_order(q)
+    rng = random.Random(40 + q)
+    r = 4
+    vectors = [linalg.FqVector(ctx, tuple(rng.randrange(q) for _ in range(r))) for _ in range(12)]
+    vectors[3] = linalg.zero_vector(ctx, r)
+    vectors[7] = vectors[1].scale(q - 1)
+    stack = linalg.EchelonStack(vectors)
+    pushed = []
+    for _ in range(200):
+        if pushed and (len(pushed) > 5 or rng.random() < 0.4):
+            stack.pop()
+            pushed.pop()
+            continue
+        i = rng.randrange(len(vectors))
+        expected = linalg.in_span(vectors[i], [vectors[j] for j in pushed])
+        assert stack.in_span(i) == expected
+        assert stack.push(i) == (not expected)
+        pushed.append(i)
+
+
 def test_extract_basis_order_and_rank(binary_s3_set):
     elems = list(binary_s3_set.elems)
     basis = linalg.extract_basis(elems)

@@ -313,6 +313,26 @@ def test_2h_subsets_dependent_witness(f2):
     assert not linalg.is_linearly_independent(list(witness))
 
 
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_2h_subsets_match_combination_scan(q):
+    ctx = sl.field_of_order(q)
+    rng = random.Random(300 + q)
+    outcomes = set()
+    for _ in range(40):
+        h = rng.choice((1, 2))
+        r = rng.randint(2 * h + 1, 2 * h + 2)
+        size = rng.randint(r, min(r + 4, q ** r))
+        cand = random_candidate(rng, ctx, r, h, size, include_zero=True)
+        scan = next(
+            (s for s in itertools.combinations(cand.nonzero_elems(), 2 * h)
+             if not linalg.is_linearly_independent(list(s))),
+            None,
+        )
+        assert sl.check_2h_subsets_independent(cand) == scan
+        outcomes.add(scan is None)
+    assert outcomes == {True, False}
+
+
 def test_2h_subsets_precondition_errors(f2):
     # zero vector missing
     no_zero = shset.ShSetCandidate.from_coords(f2, [(1, 0, 0, 0, 0), (0, 1, 0, 0, 0)], 1)
