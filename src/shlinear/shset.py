@@ -19,6 +19,18 @@ coefficient tuples ascending. check_sh_linear reports the first collision
 detected in that order (the earliest combination whose value was already
 seen); collision_groups exposes every colliding value for callers that need
 a specific identity.
+
+Every combination value is computed by one kernel on packed ints (_Engine):
+each base-p digit of each coordinate of a vector in F_q^r, q = p^m, has its
+own bit field, first coordinate most significant, so numeric order is the
+canonical encoding order. For p = 2 a field is one bit, a packed vector is
+its canonical code and addition is XOR; for odd p a field has room for the
+digit sum 2p - 2 and one guard bit, and addition adds the ints, then
+subtracts p in every field whose digit reached p. The scalar multiples of a
+vector are packed sums of x, alpha*x, ..., alpha^(m-1)*x, of which only the
+last m-1 use the field's multiplication table. No table over the q^r vectors
+is built. For q = 2 the search uses an XOR specialization (_XorEngine) of
+the kernel's one per-set loop.
 """
 
 from __future__ import annotations
@@ -26,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -144,52 +156,185 @@ class CollisionWitness:
 
 
 # ---------------------------------------------------------------------------
+# the combination kernel
+# ---------------------------------------------------------------------------
+
+class _Engine:
+    """The combination kernel: packed vectors of F_q^r (see the module
+    docstring), their canonical scalar multiples, and the bookkeeping of a
+    growing set for search and extension: the values of its h-combinations
+    and an echelon basis of its span, each row reduced by the rows before
+    it. In plain mode every coefficient is 1."""
+
+    def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool = False):
+        p, m = ctx.p, ctx.m
+        self.ctx, self.q, self.h, self.plain = ctx, ctx.q, h, plain
+        width = 1 if p == 2 else p.bit_length() + 1
+        self._cw = width * m  # bits per coordinate
+        self._cmask = (1 << self._cw) - 1
+        # packed form of each element code, and back
+        self._field = [
+            sum((a // p ** j % p) << (j * width) for j in range(m)) for a in range(ctx.q)
+        ]
+        self._elem = {f: a for a, f in enumerate(self._field)}
+        self._shifts = [self._cw * (r - 1 - i) for i in range(r)]
+        self._p, self._top = p, width - 1
+        # per field: the bias that carries a digit >= p into the top bit
+        self._bias = sum(((1 << self._top) - p) << (k * width) for k in range(r * m))
+        self._tops = sum(1 << (k * width + self._top) for k in range(r * m))
+        self.elems: List[int] = []
+        self.seen: set = set()
+        # _sums[k]: the values of every canonical k-combination of elems
+        self._sums: List[List[int]] = [[0]] + [[] for _ in range(h - 1)]
+        self.basis: List[Tuple[int, Dict[int, int]]] = []
+        self._marks: List[Tuple[int, List[int]]] = []
+
+    # -- packed vectors --
+
+    def pack(self, coords: Sequence[int]) -> int:
+        v, cw, field = 0, self._cw, self._field
+        for a in coords:
+            v = (v << cw) | field[a]
+        return v
+
+    def unpack(self, x: int) -> Tuple[int, ...]:
+        cmask, elem = self._cmask, self._elem
+        return tuple(elem[(x >> s) & cmask] for s in self._shifts)
+
+    def vectors(self, k: int) -> Iterator[int]:
+        """Every packed vector of F_q^k, in canonical order."""
+        return map(self.pack, itertools.product(range(self.q), repeat=k))
+
+    def add(self, a: int, b: int) -> int:
+        if self._p == 2:
+            return a ^ b
+        s = a + b
+        return s - (((s + self._bias) & self._tops) >> self._top) * self._p
+
+    def add_all(self, us: Iterable[int], vs: Sequence[int]) -> Iterator[int]:
+        """u + v for u in us for v in vs, lazily, with the add inlined."""
+        if self._p == 2:
+            return (u ^ v for u in us for v in vs)
+        p, bias, tops, top = self._p, self._bias, self._tops, self._top
+        return (s - (((s + bias) & tops) >> top) * p for u in us for v in vs for s in (u + v,))
+
+    def multiples(self, x: int) -> List[int]:
+        """c*x for c = 1, ..., q-1. The base-p digits of c weight x, alpha*x,
+        ..., alpha^(m-1)*x, and alpha^j has code p^j, so (c + p^j)*x is
+        c*x + alpha^j*x: only alpha^j*x, j >= 1, needs the multiplication table."""
+        out, mul = [0], self.ctx._mul
+        coords = self.unpack(x) if self.ctx.m > 1 else ()
+        for j in range(self.ctx.m):
+            step = self._p ** j
+            base = self.pack([mul[step][a] for a in coords]) if j else x
+            for _ in range((self._p - 1) * step):
+                out.append(self.add(out[-step], base))
+        return out[1:]
+
+    def scaled(self, x: int) -> List[int]:
+        """The multiples of x a canonical combination can use: 1*x alone for
+        the zero vector and in plain mode."""
+        return [x] if x == 0 or self.plain else self.multiples(x)
+
+    # -- combinations --
+
+    def combinations(self, elems: Sequence[int]) -> Iterator[Tuple[Terms, int]]:
+        """(terms, packed value) of every canonical h-combination of elems,
+        in the pinned order."""
+        scaled = [self.scaled(x) for x in elems]
+        for idxs in itertools.combinations(range(len(elems)), self.h):
+            partials = [0]
+            for i in idxs:
+                partials = self.add_all(partials, scaled[i])
+            coeffs = itertools.product(*(range(1, len(scaled[i]) + 1) for i in idxs))
+            yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), partials)
+
+    def values_of(self, x: int) -> Optional[set]:
+        """Values of the h-combinations that use x and h-1 of the pushed
+        elements, or None when one of them is already a value or two agree."""
+        partials, xs = self._sums[-1], self.scaled(x)
+        # a rejected x usually meets a seen value within the first few sums
+        if not self.seen.isdisjoint(self.add_all(partials, xs)):
+            return None
+        fresh = set(self.add_all(partials, xs))
+        return fresh if len(fresh) == len(partials) * len(xs) else None
+
+    def push(self, x: int, fresh) -> None:
+        self.seen.update(fresh)
+        self.elems.append(x)
+        sums = self._sums
+        self._marks.append((len(self.basis), [len(s) for s in sums]))
+        xs = self.scaled(x)
+        for k in range(len(sums) - 1, 0, -1):
+            sums[k] += self.add_all(sums[k - 1], xs)
+        residue = self._reduce(x)
+        if residue:
+            # a row is (shift, cancel): its leading coordinate, at shift, is
+            # cleared from x by adding cancel[that coordinate]
+            shift = (residue.bit_length() - 1) // self._cw * self._cw
+            ctx = self.ctx
+            inv = ctx._inv[self._elem[residue >> shift]]
+            multiples = self.multiples(residue)
+            cancel = {
+                self._field[c]: multiples[ctx._mul[ctx._neg[c]][inv] - 1] for c in range(1, self.q)
+            }
+            self.basis.append((shift, cancel))
+
+    def pop(self, fresh) -> None:
+        self.elems.pop()
+        self.seen.difference_update(fresh)
+        rank, lengths = self._marks.pop()
+        del self.basis[rank:]
+        for s, n in zip(self._sums, lengths):
+            del s[n:]
+
+    def _reduce(self, x: int) -> int:
+        """x minus its projection on the basis: 0 exactly when x is in the span."""
+        cmask = self._cmask
+        for shift, cancel in self.basis:
+            c = (x >> shift) & cmask
+            if c:
+                x = self.add(x, cancel[c])
+        return x
+
+    def in_span(self, x: int) -> bool:
+        return not self._reduce(x)
+
+
+class _XorEngine(_Engine):
+    """The F_2 specialization: the only coefficient is 1, so the values of x
+    are XORs of x with the (h-1)-subsets of the pushed elements."""
+
+    def values_of(self, x: int) -> Optional[set]:
+        seen, fresh = self.seen, set()
+        for subset in itertools.combinations(self.elems, self.h - 1):
+            v = x
+            for s in subset:
+                v ^= s
+            if v in seen or v in fresh:
+                return None
+            fresh.add(v)
+        return fresh
+
+
+# ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _raw_combinations(
-    coords: Sequence[Tuple[int, ...]],
-    zero_idx: Optional[int],
-    h: int,
-    ctx: FieldCtx,
-    plain: bool,
-) -> Iterator[Tuple[Terms, Tuple[int, ...]]]:
-    """Yield (terms, value coords) for every canonical combination, in the
-    pinned order. plain=True restricts all coefficients to 1."""
-    r = len(coords[0])
-    add, mul = ctx._add, ctx._mul
-    ones = (1,)
-    nonzero = tuple(range(1, ctx.q))
-    for idxs in itertools.combinations(range(len(coords)), h):
-        if plain:
-            choices = [ones] * h
-        else:
-            choices = [ones if i == zero_idx else nonzero for i in idxs]
-        for cs in itertools.product(*choices):
-            acc = [0] * r
-            for i, coeff in zip(idxs, cs):
-                row = coords[i]
-                if coeff == 1:
-                    for j in range(r):
-                        if row[j]:
-                            acc[j] = add[acc[j]][row[j]]
-                else:
-                    for j in range(r):
-                        if row[j]:
-                            acc[j] = add[acc[j]][mul[coeff][row[j]]]
-            yield tuple(zip(idxs, cs)), tuple(acc)
-
-
-def _candidate_raw(candidate: ShSetCandidate, plain: bool):
-    coords = [v.coords for v in candidate.elems]
-    return _raw_combinations(coords, candidate.zero_index(), candidate.h, candidate.ctx, plain)
+def _combinations(
+    candidate: ShSetCandidate, plain: bool
+) -> Tuple[_Engine, Iterator[Tuple[Terms, int]]]:
+    """A kernel for the candidate's space, and its canonical combinations as
+    (terms, packed value); plain=True restricts all coefficients to 1."""
+    engine = _Engine(candidate.ctx, candidate.r, candidate.h, plain)
+    return engine, engine.combinations([engine.pack(v.coords) for v in candidate.elems])
 
 
 def enumerate_h_combinations(candidate: ShSetCandidate) -> Iterator[Tuple[HCombination, FqVector]]:
     """Stream every canonical h-linear combination with its value."""
-    ctx = candidate.ctx
-    for terms, value in _candidate_raw(candidate, plain=False):
-        yield HCombination(terms), FqVector(ctx, value)
+    engine, combos = _combinations(candidate, plain=False)
+    for terms, value in combos:
+        yield HCombination(terms), FqVector(candidate.ctx, engine.unpack(value))
 
 
 def count_h_combinations(candidate: ShSetCandidate) -> int:
@@ -209,8 +354,9 @@ def count_plain_combinations(candidate: ShSetCandidate) -> int:
 
 def h_span(candidate: ShSetCandidate) -> set:
     """The value set of all h-linear combinations (deduplicated)."""
-    ctx = candidate.ctx
-    return {FqVector(ctx, value) for _, value in _candidate_raw(candidate, plain=False)}
+    engine, combos = _combinations(candidate, plain=False)
+    values = {value for _, value in combos}
+    return {FqVector(candidate.ctx, engine.unpack(v)) for v in values}
 
 
 # ---------------------------------------------------------------------------
@@ -218,13 +364,13 @@ def h_span(candidate: ShSetCandidate) -> set:
 # ---------------------------------------------------------------------------
 
 def _first_collision(candidate: ShSetCandidate, plain: bool) -> Optional[CollisionWitness]:
-    seen: Dict[Tuple[int, ...], Terms] = {}
-    for terms, value in _candidate_raw(candidate, plain):
+    engine, combos = _combinations(candidate, plain)
+    seen: Dict[int, Terms] = {}
+    for terms, value in combos:
         prev = seen.get(value)
         if prev is not None:
-            return CollisionWitness(
-                HCombination(prev), HCombination(terms), FqVector(candidate.ctx, value)
-            )
+            value_vector = FqVector(candidate.ctx, engine.unpack(value))
+            return CollisionWitness(HCombination(prev), HCombination(terms), value_vector)
         seen[value] = terms
     return None
 
@@ -253,18 +399,18 @@ def collision_groups(
 ) -> List[Tuple[FqVector, Tuple[HCombination, ...]]]:
     """Every value hit by more than one combination, with all of its
     combinations, ordered by first occurrence. Empty iff the set verifies."""
-    groups: Dict[Tuple[int, ...], List[Terms]] = {}
-    order: List[Tuple[int, ...]] = []
-    for terms, value in _candidate_raw(candidate, plain):
+    engine, combos = _combinations(candidate, plain)
+    groups: Dict[int, List[Terms]] = {}
+    order: List[int] = []
+    for terms, value in combos:
         bucket = groups.get(value)
         if bucket is None:
             groups[value] = [terms]
             order.append(value)
         else:
             bucket.append(terms)
-    ctx = candidate.ctx
     return [
-        (FqVector(ctx, v), tuple(HCombination(t) for t in groups[v]))
+        (FqVector(candidate.ctx, engine.unpack(v)), tuple(HCombination(t) for t in groups[v]))
         for v in order
         if len(groups[v]) > 1
     ]
@@ -372,272 +518,13 @@ def _first_dependent_lex(
 
 
 # ---------------------------------------------------------------------------
-# incremental verification (shared by search and greedy extension)
-# ---------------------------------------------------------------------------
-
-class IncrementalChecker:
-    """Maintains the value table of all h-combinations of a growing element
-    list, refusing additions that create a collision. Elements are coordinate
-    tuples; the zero tuple gets the canonical coefficient treatment."""
-
-    def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool = False):
-        self.ctx = ctx
-        self.r = r
-        self.h = h
-        self.plain = plain
-        self.elems: List[Tuple[int, ...]] = []
-        self.seen: set = set()
-        self._zero = (0,) * r
-        self._nonzero = (1,) if plain else tuple(range(1, ctx.q))
-
-    def _new_values(self, x: Tuple[int, ...]) -> Optional[List[Tuple[int, ...]]]:
-        """Values of all h-combinations that include x, or None on collision."""
-        h = self.h
-        if len(self.elems) + 1 < h:
-            return []
-        ctx = self.ctx
-        add, mul = ctx._add, ctx._mul
-        r = self.r
-        x_coeffs = (1,) if (x == self._zero or self.plain) else self._nonzero
-        fresh: List[Tuple[int, ...]] = []
-        fresh_set = set()
-        for idxs in itertools.combinations(range(len(self.elems)), h - 1):
-            choices = [
-                (1,) if (self.elems[i] == self._zero or self.plain) else self._nonzero
-                for i in idxs
-            ]
-            for cs in itertools.product(*choices):
-                base = [0] * r
-                for i, coeff in zip(idxs, cs):
-                    row = self.elems[i]
-                    for j in range(r):
-                        if row[j]:
-                            base[j] = add[base[j]][mul[coeff][row[j]]]
-                for cx in x_coeffs:
-                    value = list(base)
-                    for j in range(r):
-                        if x[j]:
-                            value[j] = add[value[j]][mul[cx][x[j]]]
-                    value_t = tuple(value)
-                    if value_t in self.seen or value_t in fresh_set:
-                        return None
-                    fresh.append(value_t)
-                    fresh_set.add(value_t)
-        return fresh
-
-    def try_add(self, x: Tuple[int, ...]) -> Optional[List[Tuple[int, ...]]]:
-        """Add x if no collision arises; returns the token to pass to pop(),
-        or None when x was rejected."""
-        fresh = self._new_values(x)
-        if fresh is None:
-            return None
-        self.seen.update(fresh)
-        self.elems.append(x)
-        return fresh
-
-    def pop(self, token: List[Tuple[int, ...]]) -> None:
-        self.elems.pop()
-        self.seen.difference_update(token)
-
-
-# ---------------------------------------------------------------------------
 # exhaustive maximum search
 # ---------------------------------------------------------------------------
-
-LUT_SPACE_CAP = 1024  # build pairwise addition tables when q^r is this small
-
-
-def _decode_tuple(code: int, q: int, r: int) -> Tuple[int, ...]:
-    out = [0] * r
-    for i in range(r - 1, -1, -1):
-        out[i] = code % q
-        code //= q
-    return tuple(out)
-
-
-class _Engine:
-    """Bookkeeping shared by the search engines: the elements pushed so far,
-    the values of their h-combinations, and an echelon basis of their linear
-    span in which each row is reduced by the rows before it. Subclasses
-    supply values_of and, in their own arithmetic, _reduce (x minus its
-    projection on the basis, falsy exactly when x is in the span) and
-    _basis_row (the stored form of a nonzero residue)."""
-
-    def __init__(self, h: int):
-        self.h = h
-        self.elems: List[int] = []
-        self.seen: set = set()
-        self.basis: list = []
-        self._ranks: List[int] = []
-
-    def in_span(self, x: int) -> bool:
-        return not self._reduce(x)
-
-    def push(self, x: int, fresh: list) -> None:
-        self.seen.update(fresh)
-        self.elems.append(x)
-        self._ranks.append(len(self.basis))
-        residue = self._reduce(x)
-        if residue:
-            self.basis.append(self._basis_row(residue))
-
-    def pop(self, fresh: list) -> None:
-        self.elems.pop()
-        self.seen.difference_update(fresh)
-        del self.basis[self._ranks.pop():]
-
-
-class _XorEngine(_Engine):
-    """Combination-value bookkeeping over F_2: vectors are packed ints and
-    the only coefficient is 1, so values are XORs of (h-1)-subsets."""
-
-    def values_of(self, x: int) -> Optional[List[int]]:
-        if len(self.elems) + 1 < self.h:
-            return []
-        seen = self.seen
-        fresh: List[int] = []
-        fresh_set = set()
-        for subset in itertools.combinations(self.elems, self.h - 1):
-            v = x
-            for s in subset:
-                v ^= s
-            if v in seen or v in fresh_set:
-                return None
-            fresh.append(v)
-            fresh_set.add(v)
-        return fresh
-
-    def _reduce(self, x: int) -> int:
-        # XOR with a row clears the row's leading bit when x has it set
-        for row in self.basis:
-            x = min(x, x ^ row)
-        return x
-
-    def _basis_row(self, residue: int) -> int:
-        return residue
-
-
-class _IntLutEngine(_Engine):
-    """Encoded-int bookkeeping for small spaces: pairwise vector addition and
-    scalar action are precomputed tables over the q^r encodings."""
-
-    def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool):
-        super().__init__(h)
-        q = ctx.q
-        total = q ** r
-        vectors = [_decode_tuple(c, q, r) for c in range(total)]
-        index = {v: c for c, v in enumerate(vectors)}
-        add = ctx._add
-        self.add_lut = [
-            [index[tuple(add[a][b] for a, b in zip(va, vb))] for vb in vectors]
-            for va in vectors
-        ]
-        mul = ctx._mul
-        # multiples[v][c - 1] = c*v for every nonzero coefficient c; the zero
-        # vector keeps only its canonical coefficient 1
-        self.multiples = [
-            [index[tuple(mul[c][a] for a in v)] for c in ((1,) if code == 0 else range(1, q))]
-            for code, v in enumerate(vectors)
-        ]
-        self.scaled = [[code] for code in range(total)] if plain else self.multiples
-        self.q = q
-        self._neg = ctx._neg
-        self._inv = ctx._inv
-
-    def values_of(self, x: int) -> Optional[List[int]]:
-        h = self.h
-        if len(self.elems) + 1 < h:
-            return []
-        add_lut = self.add_lut
-        scaled = self.scaled
-        seen = self.seen
-        xs = scaled[x]
-        fresh: List[int] = []
-        fresh_set = set()
-        for idxs in itertools.combinations(self.elems, h - 1):
-            partials = [0]
-            for e in idxs:
-                partials = [add_lut[p][a] for p in partials for a in scaled[e]]
-            for p in partials:
-                row = add_lut[p]
-                for b in xs:
-                    v = row[b]
-                    if v in seen or v in fresh_set:
-                        return None
-                    fresh.append(v)
-                    fresh_set.add(v)
-        return fresh
-
-    def _reduce(self, x: int) -> int:
-        # a row is (place, code): its leading base-q digit is 1, at place q^k
-        q, neg, add_lut, multiples = self.q, self._neg, self.add_lut, self.multiples
-        for place, row in self.basis:
-            c = x // place % q
-            if c:
-                x = add_lut[x][multiples[row][neg[c] - 1]]
-        return x
-
-    def _basis_row(self, residue: int) -> Tuple[int, int]:
-        place = 1
-        while place * self.q <= residue:
-            place *= self.q
-        return place, self.multiples[residue][self._inv[residue // place] - 1]
-
-
-class _TupleEngine(_Engine):
-    """Coordinate-tuple bookkeeping, used when the space is too large for
-    addition tables. Elements are encoded ints; coordinates are decoded once."""
-
-    def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool):
-        super().__init__(h)
-        self.checker = IncrementalChecker(ctx, r, h, plain=plain)
-        self.seen = self.checker.seen
-        self.ctx = ctx
-        self.q = ctx.q
-        self.r = r
-
-    def values_of(self, x: int) -> Optional[List[Tuple[int, ...]]]:
-        return self.checker._new_values(_decode_tuple(x, self.q, self.r))
-
-    def push(self, x: int, fresh) -> None:
-        super().push(x, fresh)
-        self.checker.elems.append(_decode_tuple(x, self.q, self.r))
-
-    def pop(self, fresh) -> None:
-        super().pop(fresh)
-        self.checker.elems.pop()
-
-    def _reduce(self, x: int) -> Optional[List[int]]:
-        # a row is (pivot, coords): its first nonzero coordinate is 1, at pivot
-        add, mul, neg = self.ctx._add, self.ctx._mul, self.ctx._neg
-        v = list(_decode_tuple(x, self.q, self.r))
-        for pivot, row in self.basis:
-            c = v[pivot]
-            if c:
-                m = mul[neg[c]]
-                for j in range(pivot, self.r):
-                    if row[j]:
-                        v[j] = add[v[j]][m[row[j]]]
-        return v if any(v) else None
-
-    def _basis_row(self, residue: List[int]) -> Tuple[int, List[int]]:
-        pivot = next(j for j, c in enumerate(residue) if c)
-        m = self.ctx._mul[self.ctx._inv[residue[pivot]]]
-        return pivot, [m[c] for c in residue]
-
-
-def _make_engine(ctx: FieldCtx, r: int, h: int, plain: bool, use_packed: bool):
-    if use_packed:
-        return _XorEngine(h)
-    if ctx.q ** r <= LUT_SPACE_CAP:
-        return _IntLutEngine(ctx, r, h, plain)
-    return _TupleEngine(ctx, r, h, plain)
-
 
 def _greedy_scan(engine, candidates: Sequence[int], h: int) -> Tuple[int, List[int]]:
     """Deterministic greedy baseline in canonical order; leaves the engine
     reset to its pre-scan state."""
-    kept: List[Tuple[int, list]] = []
+    kept: List[Tuple[int, set]] = []
     for x in candidates:
         fresh = engine.values_of(x)
         if fresh is not None:
@@ -720,8 +607,13 @@ def exhaustive_max_sh_set(
         pointwise can swap any two vectors outside it, so each node
         branches on only the first compatible candidate outside that span.
 
-    Returns (0, None) when no valid set of size >= h exists. For q = 2 a
-    bit-packed path is used unless packed=False forces the generic one.
+    Vectors are packed ints with one bit field per base-p digit, so the
+    encoding order is numeric order; they add by XOR for p = 2 and, for odd
+    p, by an integer add that subtracts p from every field that reached p
+    (see the module docstring). Returns (0, None) when no valid set of size
+    >= h exists. For q = 2 the XOR specialization of the kernel is used
+    unless packed=False selects the generic loop on F_2, which the tests and
+    selftest compare it with.
     """
     if mode not in ("linear", "plain"):
         raise InvalidParameterError(f"mode must be 'linear' or 'plain', got {mode!r}")
@@ -733,13 +625,16 @@ def exhaustive_max_sh_set(
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
     use_packed = ctx.q == 2 if packed is None else (packed and ctx.q == 2)
     plain = mode == "plain"
-    engine = _make_engine(ctx, r, h, plain=plain, use_packed=use_packed)
-    q = ctx.q
+    engine = (_XorEngine if use_packed else _Engine)(ctx, r, h, plain)
     if plain:
-        candidates = list(range(1, q ** r))
-    else:  # leading base-q digit 1; every nonzero vector when q = 2
-        candidates = [c for k in range(r) for c in range(q ** k, 2 * q ** k)]
-    if must_contain_zero or plain or q == 2:
+        candidates = list(engine.vectors(r))[1:]
+    else:  # leading nonzero coordinate 1; every nonzero vector when q = 2
+        candidates = [
+            engine.pack((1,) + tail)
+            for k in range(r)
+            for tail in itertools.product(range(ctx.q), repeat=k)
+        ]
+    if must_contain_zero or plain or ctx.q == 2:
         fresh = engine.values_of(0)
         if fresh is None:
             raise RuntimeError("search engine rejected the zero vector as a first element")
@@ -749,10 +644,7 @@ def exhaustive_max_sh_set(
     size, codes = _search_max(engine, candidates, h)
     if not codes:
         return 0, None
-    if use_packed:
-        elems = tuple(FqVector(ctx, linalg.gf2_unpack(c, r)) for c in codes)
-    else:
-        elems = tuple(FqVector(ctx, _decode_tuple(c, ctx.q, r)) for c in codes)
+    elems = tuple(FqVector(ctx, engine.unpack(c)) for c in codes)
     return size, ShSetCandidate(ctx, r, elems, h)
 
 
@@ -760,43 +652,48 @@ def exhaustive_max_sh_set(
 # greedy maximal extension
 # ---------------------------------------------------------------------------
 
+def _engine_holding(candidate: ShSetCandidate) -> Optional[_Engine]:
+    """A kernel with the candidate's elements pushed, or None when they
+    collide."""
+    engine = _Engine(candidate.ctx, candidate.r, candidate.h)
+    for v in candidate.elems:
+        x = engine.pack(v.coords)
+        fresh = engine.values_of(x)
+        if fresh is None:
+            return None
+        engine.push(x, fresh)
+    return engine
+
+
 def extend_to_maximal(candidate: ShSetCandidate) -> ShSetCandidate:
     """Greedily extend to a maximal S_h-linear set: scan all of F_q^r in
     canonical encoding order and keep every vector whose addition preserves
     the verdict. Maximal, not necessarily maximum."""
-    ctx, r, h = candidate.ctx, candidate.r, candidate.h
+    ctx, r = candidate.ctx, candidate.r
     if ctx.q ** r > SEARCH_SPACE_CAP:
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
-    witness = check_sh_linear(candidate)
-    if witness is not None:
-        raise NotShLinearError("input set is not S_h-linear", witness)
-    checker = IncrementalChecker(ctx, r, h)
-    for v in candidate.elems:
-        if checker.try_add(v.coords) is None:
-            raise NotShLinearError("input set is not S_h-linear")
-    members = set(candidate.elems)
+    engine = _engine_holding(candidate)
+    if engine is None:
+        raise NotShLinearError("input set is not S_h-linear", check_sh_linear(candidate))
+    members = set(engine.elems)
     added: List[FqVector] = []
-    for code in range(ctx.q ** r):
-        v = linalg.decode_vector(ctx, r, code)
-        if v in members:
+    for x in engine.vectors(r):
+        if x in members:
             continue
-        if checker.try_add(v.coords) is not None:
-            members.add(v)
-            added.append(v)
+        fresh = engine.values_of(x)
+        if fresh is not None:
+            engine.push(x, fresh)
+            added.append(FqVector(ctx, engine.unpack(x)))
     return replace(candidate, elems=candidate.elems + tuple(added))
 
 
 def is_maximal(candidate: ShSetCandidate) -> bool:
-    """Post-hoc maximality re-test: no single vector of F_q^r can be added."""
-    if check_sh_linear(candidate) is not None:
+    """Post-hoc maximality test: the set is S_h-linear and no single vector
+    of F_q^r can be added, in one incremental pass over the space."""
+    engine = _engine_holding(candidate)
+    if engine is None:
         return False
-    ctx, r = candidate.ctx, candidate.r
-    members = set(candidate.elems)
-    for code in range(ctx.q ** r):
-        v = linalg.decode_vector(ctx, r, code)
-        if v in members:
-            continue
-        extended = ShSetCandidate(ctx, r, candidate.elems + (v,), candidate.h)
-        if check_sh_linear(extended) is None:
-            return False
-    return True
+    members = set(engine.elems)
+    return all(
+        engine.values_of(x) is None for x in engine.vectors(candidate.r) if x not in members
+    )

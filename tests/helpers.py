@@ -13,7 +13,7 @@ from shlinear.code import LinearCode
 from shlinear.errors import BudgetExceededError
 from shlinear.gf import FieldCtx, field_of_order
 from shlinear.linalg import FqVector
-from shlinear.shset import IncrementalChecker, ShSetCandidate
+from shlinear.shset import ShSetCandidate, _Engine, check_sh_linear
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +239,40 @@ def reference_exists_code_with_distance(
 
 
 # ---------------------------------------------------------------------------
+# per-vector extension and maximality: a full verification for every vector
+# ---------------------------------------------------------------------------
+
+def reference_extend_to_maximal(candidate: ShSetCandidate) -> ShSetCandidate:
+    """Reference for shset.extend_to_maximal: the same canonical-order greedy
+    scan, re-verifying the whole set with check_sh_linear for every vector."""
+    elems = candidate.elems
+    for code in range(candidate.ctx.q ** candidate.r):
+        v = linalg.decode_vector(candidate.ctx, candidate.r, code)
+        if v in elems:
+            continue
+        extended = ShSetCandidate(candidate.ctx, candidate.r, elems + (v,), candidate.h)
+        if check_sh_linear(extended) is None:
+            elems = extended.elems
+    return ShSetCandidate(candidate.ctx, candidate.r, elems, candidate.h)
+
+
+def reference_is_maximal(candidate: ShSetCandidate) -> bool:
+    """Reference for shset.is_maximal: the set verifies and no vector of
+    F_q^r can be added, each addition tested by a full re-verification."""
+    if check_sh_linear(candidate) is not None:
+        return False
+    ctx, r = candidate.ctx, candidate.r
+    for code in range(ctx.q ** r):
+        v = linalg.decode_vector(ctx, r, code)
+        if v in candidate.elems:
+            continue
+        extended = ShSetCandidate(ctx, r, candidate.elems + (v,), candidate.h)
+        if check_sh_linear(extended) is None:
+            return False
+    return True
+
+
+# ---------------------------------------------------------------------------
 # random verified sets
 # ---------------------------------------------------------------------------
 
@@ -258,12 +292,19 @@ def random_verified_set(
     include_zero: True forces 0 in, False keeps it out, None leaves it to
     chance.
     """
-    checker = IncrementalChecker(ctx, r, h)
+    engine = _Engine(ctx, r, h)
+
+    def try_add(coords) -> bool:
+        x = engine.pack(coords)
+        fresh = engine.values_of(x)
+        if fresh is not None:
+            engine.push(x, fresh)
+        return fresh is not None
+
     chosen: List[Tuple[int, ...]] = []
     members = set()
     if include_zero is True:
-        token = checker.try_add((0,) * r)
-        assert token is not None
+        assert try_add((0,) * r)
         chosen.append((0,) * r)
         members.add((0,) * r)
     attempts = 0
@@ -274,7 +315,7 @@ def random_verified_set(
             continue
         if include_zero is False and not any(coords):
             continue
-        if checker.try_add(coords) is not None:
+        if try_add(coords):
             chosen.append(coords)
             members.add(coords)
     if len(chosen) < max(target_size, h):

@@ -5,14 +5,19 @@ import random
 import pytest
 
 import shlinear as sl
-from shlinear import correspond, linalg, shset
+from shlinear import correspond, fixtures, linalg, shset
 from shlinear.errors import (
     DistanceTooSmallError,
     DuplicateColumnsError,
     NotShLinearError,
     RedundancyTooSmallError,
 )
-from helpers import random_verified_set
+from helpers import (
+    random_candidate,
+    random_verified_set,
+    reference_extend_to_maximal,
+    reference_is_maximal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +188,48 @@ def test_maximal_sets_in_f3_r5_contain_zero_and_a_basis(f3):
             assert any(v.is_zero() for v in maximal.elems)
             basis = linalg.extract_basis(list(maximal.elems))
             assert len(basis) == 5
+
+
+# (q, r): the spaces in which extension and maximality are compared with the
+# per-vector reference
+REFERENCE_SPACES = {2: 4, 3: 3, 4: 2, 5: 2, 7: 2, 8: 2, 9: 2}
+
+
+@pytest.mark.parametrize("q", sorted(REFERENCE_SPACES))
+@pytest.mark.parametrize("h", (1, 2, 3))
+def test_extension_and_maximality_equal_the_reference(q, h):
+    ctx, r = sl.field_of_order(q), REFERENCE_SPACES[q]
+    rng = random.Random(100 * q + h)
+    inputs = [
+        random_verified_set(rng, ctx, r, h, h, include_zero=zero) for zero in (True, False)
+    ]
+    inputs = [cand for cand in inputs if cand is not None]
+    assert any(cand.contains_zero() for cand in inputs)
+    maximal = reference_extend_to_maximal(inputs[0])
+    for cand in inputs + [maximal]:
+        extended = sl.extend_to_maximal(cand)
+        assert extended.elems == reference_extend_to_maximal(cand).elems
+        assert shset.is_maximal(cand) == reference_is_maximal(cand)
+        assert shset.is_maximal(extended)
+    assert sl.extend_to_maximal(maximal).elems == maximal.elems
+    colliding = random_candidate(rng, ctx, r, h, min(q ** r, h + 3))
+    assert shset.is_maximal(colliding) == reference_is_maximal(colliding)
+
+
+# extend_to_maximal of set_f3_r9_s3.set with h=2, as computed on coordinate
+# tuples before the packed kernel: the 14 input elements, then 31 added
+F3_R9_EXTENSION = (
+    0, 6561, 3, 1, 15309, 11, 18225, 6075, 8586, 2862, 954, 34, 318, 106, 37, 83,
+    121, 127, 141, 148, 973, 1217, 2192, 2434, 2924, 3168, 3657, 3918, 4159, 6814,
+    7047, 7315, 7555, 7811, 8069, 8314, 8817, 9054, 9324, 9570, 9807, 10113, 10563,
+    10839, 11362,
+)
+
+
+def test_f3_r9_extension_is_pinned_and_maximal():
+    extended = sl.extend_to_maximal(fixtures.load_fixture_set(fixtures.SET_F3_R9, 2))
+    assert tuple(v.encode() for v in extended.elems) == F3_R9_EXTENSION
+    assert shset.is_maximal(extended)
 
 
 # ---------------------------------------------------------------------------

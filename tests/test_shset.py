@@ -443,8 +443,10 @@ def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, packed):
     assert (size, witness.elems if witness else None) == bruteforce_max(ctx, r, h, mode, zero)
 
 
-# (q, r, h, mode, packed) -> (maximum, witness codes), as returned before the
-# symmetry pruning of the search was introduced
+# (q, r, h, mode, packed) -> (maximum, witness codes): the first six as
+# returned before the symmetry pruning of the search was introduced, the rest
+# as returned by the lookup-table (q^r <= 1024) and coordinate-tuple engines
+# that the packed kernel replaced
 PINNED_SEARCHES = [
     ((2, 5, 2, "linear", False), (7, (0, 1, 2, 4, 8, 15, 16))),
     ((2, 5, 3, "linear", False), (6, (0, 1, 2, 4, 8, 16))),
@@ -452,6 +454,11 @@ PINNED_SEARCHES = [
     ((3, 3, 2, "plain", None), (6, (0, 1, 2, 3, 9, 24))),
     ((5, 2, 2, "linear", None), (3, (0, 1, 5))),
     ((5, 2, 2, "plain", None), (6, (0, 1, 2, 5, 10, 24))),
+    ((4, 3, 2, "linear", None), (4, (0, 1, 4, 16))),
+    ((3, 3, 3, "linear", None), (4, (0, 1, 3, 9))),
+    ((8, 2, 2, "linear", None), (3, (0, 1, 8))),
+    ((9, 2, 2, "linear", None), (3, (0, 1, 9))),
+    ((11, 3, 2, "linear", None), (4, (0, 1, 11, 121))),
 ]
 
 
@@ -470,29 +477,24 @@ def test_packed_and_generic_paths_agree(f2):
         assert packed_witness.elems == generic_witness.elems
 
 
-@pytest.mark.parametrize("q,r,packed,lut", [
-    (2, 4, True, True), (2, 4, False, True), (3, 3, False, True), (4, 2, False, True),
-    (5, 2, False, True), (3, 3, False, False), (4, 2, False, False),
-])
-def test_engine_span_matches_elimination(monkeypatch, q, r, packed, lut):
-    """Each engine's incremental span agrees with linalg.in_span on every
+def _check_engine_span(ctx, r, packed, linear):
+    """The kernel's incremental span agrees with linalg.in_span on every
     vector after each push and pop of a random sequence."""
-    if not lut:
-        monkeypatch.setattr(shset, "LUT_SPACE_CAP", 1)
-    ctx = sl.field_of_order(q)
-    engine = shset._make_engine(ctx, r, 2, plain=False, use_packed=packed)
+    q = ctx.q
+    engine = (shset._XorEngine if packed else shset._Engine)(ctx, r, 2, plain=not linear)
     vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
+    packs = [engine.pack(v.coords) for v in vectors]
     rng = random.Random(q * 10 + r)
     pushed = []
 
     def check():
         elems = [vectors[c] for c in pushed]
-        for code, v in enumerate(vectors):
-            assert engine.in_span(code) == linalg.in_span(v, elems)
+        for x, v in zip(packs, vectors):
+            assert engine.in_span(x) == linalg.in_span(v, elems)
 
     for _ in range(3):
         for code in rng.sample(range(q ** r), r + 1):
-            engine.push(code, [])
+            engine.push(packs[code], [])
             pushed.append(code)
             check()
         for _ in range(rng.randint(1, r)):
@@ -501,14 +503,40 @@ def test_engine_span_matches_elimination(monkeypatch, q, r, packed, lut):
             check()
 
 
-def test_tuple_and_table_engines_agree(monkeypatch, f3):
-    f4 = sl.field_of_order(4)
-    cases = [(f3, 3, 2, "linear"), (f3, 3, 2, "plain"), (f4, 3, 2, "linear"), (f3, 3, 3, "linear")]
-    expected = [sl.exhaustive_max_sh_set(ctx, r, h, mode=mode) for ctx, r, h, mode in cases]
-    monkeypatch.setattr(shset, "LUT_SPACE_CAP", 1)  # coordinate tuples for every space
-    for (ctx, r, h, mode), (size, witness) in zip(cases, expected):
-        got_size, got = sl.exhaustive_max_sh_set(ctx, r, h, mode=mode)
-        assert (got_size, got.elems) == (size, witness.elems)
+@pytest.mark.parametrize("q,r,packed,linear", [
+    (2, 4, True, True), (2, 4, False, True), (3, 3, False, True), (4, 2, False, True),
+    (5, 2, False, True), (3, 3, False, False), (4, 2, False, False), (8, 2, False, True),
+    (9, 2, False, True),
+])
+def test_engine_span_matches_elimination(q, r, packed, linear):
+    # the span is the same in plain mode, where combinations use only 1*x
+    _check_engine_span(sl.field_of_order(q), r, packed, linear)
+
+
+def test_engine_span_matches_elimination_other_modulus():
+    _check_engine_span(sl.make_field(3, 2, (2, 2, 1)), 2, False, True)  # x^2 + 2x + 2
+
+
+@pytest.mark.parametrize("q,modulus", [
+    (2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None),
+    (9, (2, 2, 1)), (8, (1, 0, 1, 1)),
+])
+def test_packed_arithmetic_matches_vectors(q, modulus):
+    """Packing keeps the canonical order and round-trips, and the packed
+    add and scalar multiples agree with FqVector arithmetic."""
+    ctx = sl.field_of_order(q, modulus)
+    r = 3 if q < 8 else 2
+    engine = shset._Engine(ctx, r, 2)
+    vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
+    packs = [engine.pack(v.coords) for v in vectors]
+    assert packs == sorted(packs) == list(engine.vectors(r))
+    assert all(engine.unpack(x) == v.coords for x, v in zip(packs, vectors))
+    index = dict(zip(packs, vectors))
+    rng = random.Random(q)
+    for a, b in zip(rng.choices(packs, k=200), rng.choices(packs, k=200)):
+        assert index[engine.add(a, b)] == index[a] + index[b]
+        assert list(engine.add_all([a], [b, a])) == [engine.add(a, b), engine.add(a, a)]
+        assert [index[m] for m in engine.multiples(a)] == [index[a].scale(c) for c in range(1, q)]
 
 
 def test_plain_mode_never_below_linear_mode(f3, f5):
