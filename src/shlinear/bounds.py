@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
 from dataclasses import dataclass
-from operator import ne
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -35,6 +33,7 @@ from .errors import (
     SingletonViolationError,
 )
 from .gf import field_of_order
+from .linalg import PackedSpace
 
 DEFAULT_SEARCH_BUDGET = 500_000
 RECHECK_CAP = 1_000_000
@@ -197,52 +196,44 @@ def _free_columns(n: int, pivots: Sequence[int]) -> List[List[int]]:
     return [[c for c in range(p + 1, n) if c not in pivot_set] for p in pivots]
 
 
-def _row_masks_f2(n: int, pivot: int, free: Sequence[int]):
-    """Row bitmasks (column j is bit n-1-j) in binary-counter order: bit t
-    of the counter sets free[t], so the first free column is the lowest bit."""
-    picks = [(0, 1 << (n - 1 - c)) for c in reversed(free)]
-    base = 1 << (n - 1 - pivot)
-    return (base | sum(pick) for pick in itertools.product(*picks))
+def _rows(values: Sequence[Sequence[int]], pivot: int, cols: Sequence[int]):
+    """Packed rows with 1 at the pivot, any value at each column of cols and
+    0 elsewhere, in itertools.product order over cols: the first varies
+    slowest. values[c] lists the packed a*e_c, a = 0, ..., q-1."""
+    base = values[pivot][1]
+    return (base + sum(pick) for pick in itertools.product(*(values[c] for c in cols)))
 
 
-def _rows_fq(n: int, pivot: int, free: Sequence[int], q: int):
-    """Row tuples in itertools.product order: the first free column varies
-    slowest."""
-    row = [0] * n
-    row[pivot] = 1
-    for values in itertools.product(range(q), repeat=len(free)):
-        for c, v in zip(free, values):
-            row[c] = v
-        yield tuple(row)
-
-
-def _walk(levels, below, light, extend, span, chosen) -> int:
+def _walk(levels, counts, heavy, extend, span, chosen) -> int:
     """Depth-first search over the generator matrices of one pivot set that
     extend the rows in `chosen`, one row per level, outermost level first.
-    `levels[i]` iterates the values of that row, `below[i]` is the number
-    of completions of a prefix ending at level i, `light(row, span)` tells
-    whether a codeword with coefficient 1 on `row` plus a word of `span`
-    (the code of the rows fixed above) has weight < d, and `extend` returns
-    the code spanned with one more row.
+    `levels[i]` iterates the values of that row whose own weight is >= d,
+    `counts[i]` is the number of completions of a prefix of i rows, `heavy(rows, span)` keeps the rows
+    whose sum with every word of `span` (the code of the rows fixed above)
+    has weight >= d, and `extend` returns the code spanned with one more row.
 
-    Once a prefix has such a word, so does every completion: the whole
-    subtree is decided without being visited. Returns the number of codes
-    decided; it stops at the first code without such a word, counted, and
-    leaves its rows in `chosen`."""
+    A row that has a lighter word is ruled out with all its completions,
+    since they have that word too, so each level is filtered once against
+    the span and only the surviving rows are descended into. Returns the
+    number of codes decided; at the first code without a lighter word it
+    stops, with that code's rows in `chosen`, and the count is then partial."""
     level = len(chosen)
-    checked = 0
-    for row in levels[level]:
-        if light(row, span):
-            checked += below[level]
-            continue
+    if level and not isinstance(levels[level], list):
+        # an inner level is revisited under every prefix, so it is listed on
+        # its first visit (at most q^(n-k) rows, <= sqrt of the number of
+        # codes); the outermost is walked once and stays lazy
+        levels[level] = list(levels[level])
+    checked = done = 0
+    for row in heavy(levels[level], span):
         chosen.append(row)
-        if level == len(levels) - 1:
-            return checked + 1
-        checked += _walk(levels, below, light, extend, extend(span, row), chosen)
+        if level + 1 == len(levels):
+            return checked
+        checked += _walk(levels, counts, heavy, extend, extend(span, row), chosen)
         if len(chosen) == len(levels):
             return checked
         chosen.pop()
-    return checked
+        done += 1
+    return checked + counts[level] - done * counts[level + 1]
 
 
 def exists_code_with_distance(
@@ -255,7 +246,12 @@ def exists_code_with_distance(
     over F_q they run in itertools.product order. `candidates` counts the
     codes decided, visited or ruled out together with a prefix that already
     spans a word of weight < d; it is the Gaussian binomial for "none".
-    Raises BudgetExceededError when that number exceeds the budget."""
+    Raises BudgetExceededError when that number exceeds the budget.
+
+    Rows and codewords are packed vectors (linalg.PackedSpace). The walk
+    keeps the negated code of the rows fixed so far, since row + w has
+    weight distance(row, -w), and -(c*row + w) = (-c)*row - w makes the
+    negated code with one more row {c*row + neg : c in F_q}."""
     ctx = field_of_order(q)
     count = gaussian_binomial(n, k, q)
     if count > budget:
@@ -264,46 +260,47 @@ def exists_code_with_distance(
         )
     if k == 0:
         return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
-    if q == 2:
-        # the highest counter bits belong to row k-1, so it is the outermost
-        order = range(k - 1, -1, -1)
-        rows_of = _row_masks_f2
-        light = lambda row, span: any((row ^ w).bit_count() < d for w in span)
-        extend = lambda span, row: span + [row ^ w for w in span]
-        span = [0]
-        witness = lambda rows: tuple(
-            tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in reversed(rows)
-        )
-    else:
-        order = range(k)
-        rows_of = functools.partial(_rows_fq, q=q)
-        add, mul = ctx._add, ctx._mul
-        # span holds the negated codewords: row + w has weight
-        # #{j : row[j] != -w[j]}, and since -(c*row + w) = (-c)*row - w, the
-        # negated code with one more row is {c*row + neg : c in F_q}
-        light = lambda row, span: any(sum(map(ne, row, neg)) < d for neg in span)
-        extend = lambda span, row: [
-            tuple(add[a][b] for a, b in zip(scaled, neg))
-            for scaled in [tuple(mul[c][x] for x in row) for c in range(q)]
-            for neg in span
-        ]
-        span = [(0,) * n]
-        witness = tuple
+    space = PackedSpace(ctx, n)
+    low, high = space.low, space.high
+    unit = lambda c: space.pack([0] * c + [1] + [0] * (n - 1 - c))
+    values = [[0, *space.multiples(unit(c))] for c in range(n)]  # values[c][a] = a*e_c
+
+    def heavy(rows, span):
+        # space.distance(row, neg) >= d, inlined
+        for neg in span:
+            rows = [
+                row for row in rows
+                if ((((x := row ^ neg) & low) + low | x) & high).bit_count() >= d
+            ]
+        return rows
+
+    # the span holds the nonzero negated codewords; a row's own weight is
+    # checked once, as its level is generated
+    extend = lambda span, row: [*span, *space.add_all(space.multiples(row), [0, *span])]
+    # over F_2 the highest counter bits belong to row k-1, so it is the
+    # outermost, and its last free column varies slowest
+    order = range(k - 1, -1, -1) if q == 2 else range(k)
     checked = 0
     for pivots in itertools.combinations(range(n), k):
         free = _free_columns(n, pivots)
-        levels = [rows_of(n, pivots[i], free[i]) for i in order]
-        # inner rows are revisited under every prefix; the outermost row is
-        # walked once, so only it stays lazy. An inner row has at most n-k
-        # free columns and count >= q^(k(n-k)), so its list holds at most
-        # sqrt(count) rows.
-        levels[1:] = [list(rows) for rows in levels[1:]]
-        sizes = [q ** len(free[i]) for i in order]
-        below = [math.prod(sizes[i + 1:]) for i in range(k)]
+        cols = [free[i][::-1] if q == 2 else free[i] for i in order]
+        levels = [
+            (row for row in _rows(values, pivots[i], c) if space.distance(row, 0) >= d)
+            for i, c in zip(order, cols)
+        ]
+        counts = [q ** sum(map(len, cols[i:])) for i in range(k + 1)]
         rows = []
-        checked += _walk(levels, below, light, extend, span, rows)
+        decided = _walk(levels, counts, heavy, extend, [], rows)
         if rows:
-            return ExhaustiveCertificate(q, n, k, d, True, checked, witness(rows))
+            # every code before the witness in the order was decided
+            coords = [space.unpack(row) for row in rows]
+            before = sum(
+                functools.reduce(lambda a, c: a * q + x[c], cs, 0) * below
+                for x, cs, below in zip(coords, cols, counts[1:])
+            )
+            witness = tuple(coords[::-1] if q == 2 else coords)
+            return ExhaustiveCertificate(q, n, k, d, True, checked + before + 1, witness)
+        checked += decided
     if checked != count:
         raise CertificateCountError(
             f"enumeration of [{n},{k}] codes over F_{q} decided {checked} of {count}"
@@ -318,8 +315,8 @@ def exists_code_with_distance(
 def vbar_upper(entries: Sequence[CodeTableEntry], q: int, h: int, n: int) -> BoundResult:
     """Upper bound on vbar: min n-k over entries with d_low >= 2h+1 and
     2h <= n-k < n."""
-    if n <= 2 * h:
-        raise InvalidParameterError(f"need n > 2h, got n={n}, h={h}")
+    if not 0 < 2 * h < n:
+        raise InvalidParameterError(f"need h >= 1 and n > 2h, got h={h}, n={n}")
     target = 2 * h + 1
     best: Optional[CodeTableEntry] = None
     for e in entries:
@@ -343,9 +340,8 @@ def vbar_exact(
 ) -> BoundResult:
     """Exact vbar when every redundancy below the first existence witness can
     be excluded (by a table d_up entry or an exhaustive certificate); else an
-    interval result explaining the first undecided redundancy."""
-    if n <= 2 * h:
-        raise InvalidParameterError(f"need n > 2h, got n={n}, h={h}")
+    interval result explaining the first undecided redundancy. Bad h or n
+    raise InvalidParameterError from vbar_upper."""
     target = 2 * h + 1
     try:
         upper = vbar_upper(entries, q, h, n)
@@ -415,6 +411,8 @@ def sh_lower(entries: Sequence[CodeTableEntry], q: int, r: int, h: int) -> Bound
     """Lower bound on the maximum S_h-linear set size in F_q^r: the largest
     n+1 over entries with n-k = r and d_low >= 2h+1. A missing cell is the
     X sentinel, not an error."""
+    if h < 1:
+        raise InvalidParameterError(f"need h >= 1, got h={h}")
     if r < 2 * h:
         return BoundResult("sh_lower", None, (), note=f"r={r} < 2h={2 * h}")
     target = 2 * h + 1
@@ -456,6 +454,8 @@ def emit_vbar_series(
 ) -> str:
     """CSV series n,vbar of snapshot-backed upper bounds on vbar; X where the
     snapshot has no witness."""
+    if h < 1:
+        raise InvalidParameterError(f"need h >= 1, got h={h}")
     lines = ["n,vbar"]
     for n in n_range:
         try:

@@ -269,6 +269,8 @@ def _cmd_bounds(args) -> int:
     entries = _load_snapshot(args.snapshot)
     if args.bounds_command == "vbar":
         if args.exact:
+            if args.budget < 1:
+                raise UsageError(f"--budget must be >= 1, got {args.budget}")
             result = bounds_mod.vbar_exact(entries, args.q, args.h, args.n, args.budget)
         else:
             result = bounds_mod.vbar_upper(entries, args.q, args.h, args.n)
@@ -370,7 +372,8 @@ def _cmd_selftest(args) -> int:
     # the pruned RREF code enumeration decides as a scan of every k x n
     # generator matrix does, and its witness reaches the distance
     ok = True
-    for q, n, k, d in ((2, 5, 2, 3), (2, 5, 2, 4), (3, 4, 2, 3), (3, 4, 2, 4)):
+    cells = ((2, 5, 2, 3), (2, 5, 2, 4), (3, 4, 2, 3), (3, 4, 2, 4), (4, 3, 2, 2), (4, 3, 2, 3))
+    for q, n, k, d in cells:
         ctx = field_of_order(q)
 
         def reaches(rows, ctx=ctx, k=k, d=d) -> bool:

@@ -4,15 +4,19 @@ Vectors and matrices are immutable value types holding element codes (ints)
 plus their FieldCtx. Everything here is plain Gauss-Jordan elimination; the
 dimensions this package works at (r <= ~20, q <= 256) never justify more.
 
-For F_2 there is an additional bit-packed representation (one int per
-vector, XOR arithmetic) used by the hot enumeration loops; gf2_rank must
-agree with the generic rank on every input, which the test suite checks.
+PackedSpace holds vectors of any F_q^r as ints with packed addition,
+scalar multiples and Hamming distance; the combination kernel of shset and
+the code enumeration of bounds share it. For F_2 there is also the plain
+bit-packed form (gf2_pack, XOR arithmetic) of the column eliminations;
+gf2_rank must agree with the generic rank on every input, which the test
+suite checks.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .gf import FieldCtx
@@ -82,12 +86,6 @@ class FqVector:
 
 def zero_vector(ctx: FieldCtx, r: int) -> FqVector:
     return FqVector(ctx, (0,) * r)
-
-
-def unit_vector(ctx: FieldCtx, r: int, i: int) -> FqVector:
-    coords = [0] * r
-    coords[i] = 1
-    return FqVector(ctx, tuple(coords))
 
 
 def decode_vector(ctx: FieldCtx, r: int, code: int) -> FqVector:
@@ -393,6 +391,89 @@ def span_size(vectors: Sequence[FqVector]) -> int:
     rows = [list(v.coords) for v in vectors]
     _, pivots = _row_reduce(ctx, rows, dim)
     return ctx.q ** len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# packed vectors of F_q^r
+# ---------------------------------------------------------------------------
+
+class PackedSpace:
+    """Vectors of F_q^r, q = p^m, as ints: each base-p digit of each
+    coordinate has its own bit field, first coordinate most significant, so
+    numeric order is the canonical encoding order. For p = 2 a field is one
+    bit, a packed vector is its canonical code and addition is XOR; for odd p
+    a field has room for the digit sum 2p - 2 and one guard bit, and addition
+    adds the ints, then subtracts p in every field whose digit reached p.
+
+    Two packed vectors agree in a coordinate exactly when their XOR x is zero
+    there, so distance() is a mask, an add, an or, a mask and a bit count:
+    adding all ones to a coordinate's low bits of x carries into its top bit
+    exactly when one of them is set, and or-ing x brings in the top bit."""
+
+    def __init__(self, ctx: FieldCtx, r: int):
+        p, m = ctx.p, ctx.m
+        self.ctx, self.q = ctx, ctx.q
+        width = 1 if p == 2 else p.bit_length() + 1
+        self._cw = width * m  # bits per coordinate
+        self._cmask = (1 << self._cw) - 1
+        # packed form of each element code, and back
+        self._field = [
+            sum((a // p ** j % p) << (j * width) for j in range(m)) for a in range(ctx.q)
+        ]
+        self._elem = {f: a for a, f in enumerate(self._field)}
+        self._shifts = [self._cw * (r - 1 - i) for i in range(r)]
+        self._p, self._top = p, width - 1
+        # per field: the bias that carries a digit >= p into the top bit
+        self._bias = sum(((1 << self._top) - p) << (k * width) for k in range(r * m))
+        self._tops = sum(1 << (k * width + self._top) for k in range(r * m))
+        # per coordinate: every bit but the top one, and the top one
+        self.low = sum(((1 << (self._cw - 1)) - 1) << s for s in self._shifts)
+        self.high = sum(1 << (s + self._cw - 1) for s in self._shifts)
+
+    def pack(self, coords: Sequence[int]) -> int:
+        v, cw, field = 0, self._cw, self._field
+        for a in coords:
+            v = (v << cw) | field[a]
+        return v
+
+    def unpack(self, x: int) -> Tuple[int, ...]:
+        cmask, elem = self._cmask, self._elem
+        return tuple(elem[(x >> s) & cmask] for s in self._shifts)
+
+    def vectors(self, k: int) -> Iterator[int]:
+        """Every packed vector of F_q^k, in canonical order."""
+        return map(self.pack, itertools.product(range(self.q), repeat=k))
+
+    def add(self, a: int, b: int) -> int:
+        if self._p == 2:
+            return a ^ b
+        s = a + b
+        return s - (((s + self._bias) & self._tops) >> self._top) * self._p
+
+    def add_all(self, us: Iterable[int], vs: Sequence[int]) -> Iterator[int]:
+        """u + v for u in us for v in vs, lazily, with the add inlined."""
+        if self._p == 2:
+            return (u ^ v for u in us for v in vs)
+        p, bias, tops, top = self._p, self._bias, self._tops, self._top
+        return (s - (((s + bias) & tops) >> top) * p for u in us for v in vs for s in (u + v,))
+
+    def multiples(self, x: int) -> List[int]:
+        """c*x for c = 1, ..., q-1. The base-p digits of c weight x, alpha*x,
+        ..., alpha^(m-1)*x, and alpha^j has code p^j, so (c + p^j)*x is
+        c*x + alpha^j*x: only alpha^j*x, j >= 1, needs the multiplication table."""
+        out, mul = [0], self.ctx._mul
+        coords = self.unpack(x) if self.ctx.m > 1 else ()
+        for j in range(self.ctx.m):
+            step = self._p ** j
+            base = self.pack([mul[step][a] for a in coords]) if j else x
+            for _ in range((self._p - 1) * step):
+                out.append(self.add(out[-step], base))
+        return out[1:]
+
+    def distance(self, a: int, b: int) -> int:
+        """The number of coordinates in which a and b differ."""
+        x, low = a ^ b, self.low
+        return (((x & low) + low | x) & self.high).bit_count()
 
 
 # ---------------------------------------------------------------------------

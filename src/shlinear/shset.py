@@ -20,17 +20,15 @@ detected in that order (the earliest combination whose value was already
 seen); collision_groups exposes every colliding value for callers that need
 a specific identity.
 
-Every combination value is computed by one kernel on packed ints (_Engine):
-each base-p digit of each coordinate of a vector in F_q^r, q = p^m, has its
-own bit field, first coordinate most significant, so numeric order is the
-canonical encoding order. For p = 2 a field is one bit, a packed vector is
-its canonical code and addition is XOR; for odd p a field has room for the
-digit sum 2p - 2 and one guard bit, and addition adds the ints, then
-subtracts p in every field whose digit reached p. The scalar multiples of a
-vector are packed sums of x, alpha*x, ..., alpha^(m-1)*x, of which only the
-last m-1 use the field's multiplication table. No table over the q^r vectors
-is built. For q = 2 the search uses an XOR specialization (_XorEngine) of
-the kernel's one per-set loop.
+Every combination value is computed by one kernel on packed ints (_Engine),
+in the layout of linalg.PackedSpace: one bit field per base-p digit of each
+coordinate, first coordinate most significant, so numeric order is the
+canonical encoding order; addition is XOR for p = 2 and an add-and-correct
+for odd p. The scalar multiples of a vector are packed sums of x, alpha*x,
+..., alpha^(m-1)*x, of which only the last m-1 use the field's
+multiplication table. No table over the q^r vectors is built. For q = 2 the
+search uses an XOR specialization (_XorEngine) of the kernel's one per-set
+loop.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -159,7 +157,7 @@ class CollisionWitness:
 # the combination kernel
 # ---------------------------------------------------------------------------
 
-class _Engine:
+class _Engine(linalg.PackedSpace):
     """The combination kernel: packed vectors of F_q^r (see the module
     docstring), their canonical scalar multiples, and the bookkeeping of a
     growing set for search and extension: the values of its h-combinations
@@ -167,69 +165,14 @@ class _Engine:
     it. In plain mode every coefficient is 1."""
 
     def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool = False):
-        p, m = ctx.p, ctx.m
-        self.ctx, self.q, self.h, self.plain = ctx, ctx.q, h, plain
-        width = 1 if p == 2 else p.bit_length() + 1
-        self._cw = width * m  # bits per coordinate
-        self._cmask = (1 << self._cw) - 1
-        # packed form of each element code, and back
-        self._field = [
-            sum((a // p ** j % p) << (j * width) for j in range(m)) for a in range(ctx.q)
-        ]
-        self._elem = {f: a for a, f in enumerate(self._field)}
-        self._shifts = [self._cw * (r - 1 - i) for i in range(r)]
-        self._p, self._top = p, width - 1
-        # per field: the bias that carries a digit >= p into the top bit
-        self._bias = sum(((1 << self._top) - p) << (k * width) for k in range(r * m))
-        self._tops = sum(1 << (k * width + self._top) for k in range(r * m))
+        super().__init__(ctx, r)
+        self.h, self.plain = h, plain
         self.elems: List[int] = []
         self.seen: set = set()
         # _sums[k]: the values of every canonical k-combination of elems
         self._sums: List[List[int]] = [[0]] + [[] for _ in range(h - 1)]
         self.basis: List[Tuple[int, Dict[int, int]]] = []
         self._marks: List[Tuple[int, List[int]]] = []
-
-    # -- packed vectors --
-
-    def pack(self, coords: Sequence[int]) -> int:
-        v, cw, field = 0, self._cw, self._field
-        for a in coords:
-            v = (v << cw) | field[a]
-        return v
-
-    def unpack(self, x: int) -> Tuple[int, ...]:
-        cmask, elem = self._cmask, self._elem
-        return tuple(elem[(x >> s) & cmask] for s in self._shifts)
-
-    def vectors(self, k: int) -> Iterator[int]:
-        """Every packed vector of F_q^k, in canonical order."""
-        return map(self.pack, itertools.product(range(self.q), repeat=k))
-
-    def add(self, a: int, b: int) -> int:
-        if self._p == 2:
-            return a ^ b
-        s = a + b
-        return s - (((s + self._bias) & self._tops) >> self._top) * self._p
-
-    def add_all(self, us: Iterable[int], vs: Sequence[int]) -> Iterator[int]:
-        """u + v for u in us for v in vs, lazily, with the add inlined."""
-        if self._p == 2:
-            return (u ^ v for u in us for v in vs)
-        p, bias, tops, top = self._p, self._bias, self._tops, self._top
-        return (s - (((s + bias) & tops) >> top) * p for u in us for v in vs for s in (u + v,))
-
-    def multiples(self, x: int) -> List[int]:
-        """c*x for c = 1, ..., q-1. The base-p digits of c weight x, alpha*x,
-        ..., alpha^(m-1)*x, and alpha^j has code p^j, so (c + p^j)*x is
-        c*x + alpha^j*x: only alpha^j*x, j >= 1, needs the multiplication table."""
-        out, mul = [0], self.ctx._mul
-        coords = self.unpack(x) if self.ctx.m > 1 else ()
-        for j in range(self.ctx.m):
-            step = self._p ** j
-            base = self.pack([mul[step][a] for a in coords]) if j else x
-            for _ in range((self._p - 1) * step):
-                out.append(self.add(out[-step], base))
-        return out[1:]
 
     def scaled(self, x: int) -> List[int]:
         """The multiples of x a canonical combination can use: 1*x alone for
@@ -346,10 +289,6 @@ def count_h_combinations(candidate: ShSetCandidate) -> int:
     if candidate.contains_zero():
         return (q - 1) ** (h - 1) * math.comb(n - 1, h - 1) + (q - 1) ** h * math.comb(n - 1, h)
     return (q - 1) ** h * math.comb(n, h)
-
-
-def count_plain_combinations(candidate: ShSetCandidate) -> int:
-    return math.comb(len(candidate.elems), candidate.h)
 
 
 def h_span(candidate: ShSetCandidate) -> set:

@@ -92,19 +92,22 @@ def test_gaussian_binomial_counts():
 
 
 def test_rref_enumeration_is_exhaustive_and_distinct():
-    """The per-pivot row builders of exists_code_with_distance generate each
+    """The per-pivot row builder of exists_code_with_distance generates each
     k-dimensional subspace exactly once."""
-    for q, n, k, rows_of in (
-        (2, 5, 2, bounds._row_masks_f2),
-        (3, 4, 2, functools.partial(bounds._rows_fq, q=3)),
-    ):
+    for q, n, k in ((2, 5, 2), (3, 4, 2), (4, 4, 2)):
         f = sl.field_of_order(q)
+        space = linalg.PackedSpace(f, n)
+        values = [
+            [space.pack([a if j == c else 0 for j in range(n)]) for a in range(q)]
+            for c in range(n)
+        ]
         seen = set()
         for pivots in itertools.combinations(range(n), k):
             free = bounds._free_columns(n, pivots)
-            for rows in itertools.product(*(rows_of(n, p, c) for p, c in zip(pivots, free))):
-                if q == 2:
-                    rows = [tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in rows]
+            for rows in itertools.product(
+                *(bounds._rows(values, p, c) for p, c in zip(pivots, free))
+            ):
+                rows = [space.unpack(r) for r in rows]
                 key = frozenset(
                     tuple(
                         functools.reduce(f.add, (f.mul(c, row[j]) for c, row in zip(msg, rows)), 0)
@@ -117,11 +120,27 @@ def test_rref_enumeration_is_exhaustive_and_distinct():
         assert len(seen) == bounds.gaussian_binomial(n, k, q)
 
 
+def test_walk_revisits_inner_levels():
+    """An inner level is walked again under every prefix that survives, and
+    every row the filter drops is counted with all its completions."""
+    extend = lambda span, row: span + [row]
+    # under prefix 1 no row of the inner level survives, under prefix 2 only 20
+    heavy = lambda rows, span: [r for r in rows if not span or (span[-1], r) == (2, 20)]
+    levels, chosen = [iter([1, 2, 3]), iter([10, 20, 30])], []
+    bounds._walk(levels, [9, 3, 1], heavy, extend, [], chosen)
+    assert chosen == [2, 20]
+    # the outermost row 2 and every inner row are dropped: nothing is found
+    heavy = lambda rows, span: [r for r in rows if not span and r != 2]
+    levels, chosen = [iter([1, 2, 3]), iter([10, 20, 30])], []
+    decided = bounds._walk(levels, [9, 3, 1], heavy, extend, [], chosen)
+    assert (decided, chosen) == (9, [])
+
+
 def test_certificates_equal_the_unpruned_reference():
     """Verdict, candidate count and witness equal those of the generate-and-
     test enumeration on every small cell."""
     cases = 0
-    for q in (2, 3, 4, 5):
+    for q in (2, 3, 4, 5, 7, 8, 9):
         for n in range(1, 7):
             for k in range(n + 1):
                 if bounds.gaussian_binomial(n, k, q) > 1000:
@@ -130,7 +149,7 @@ def test_certificates_equal_the_unpruned_reference():
                     expected = reference_exists_code_with_distance(q, n, k, d, 10 ** 6)
                     assert bounds.exists_code_with_distance(q, n, k, d) == expected
                     cases += 1
-    assert cases == 343
+    assert cases == 532
 
 
 @pytest.mark.parametrize("q, n, k, d, exists, candidates, witness", [
@@ -138,6 +157,7 @@ def test_certificates_equal_the_unpruned_reference():
     (2, 9, 3, 7, False, 788_035, None),
     (3, 7, 2, 5, True, 9_816, ((1, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 1, 1, 2))),
     (4, 6, 1, 5, True, 86, ((1, 0, 1, 1, 1, 1),)),
+    (4, 6, 2, 5, False, 93_093, None),
 ])
 def test_certify_cells_are_pinned(q, n, k, d, exists, candidates, witness):
     cert = bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)

@@ -1,10 +1,11 @@
 """Command-line surface: exit codes, report formats, and file outputs."""
 
+import dataclasses
 import os
 
 import pytest
 
-from shlinear import cli, fileio, fixtures
+from shlinear import bounds, cli, fileio, fixtures
 
 
 def run(capsys, *argv):
@@ -189,6 +190,21 @@ def test_selftest(capsys):
     assert "distance_cross_validation: pass" in out
 
 
+def test_selftest_checks_f4_certificates(capsys, monkeypatch):
+    """The certificate check covers F_4 (p = 2, m = 2 packing): a wrong
+    verdict there alone makes selftest fail."""
+    exists = bounds.exists_code_with_distance
+
+    def wrong_over_f4(q, n, k, d, *args):
+        cert = exists(q, n, k, d, *args)
+        return dataclasses.replace(cert, exists=not cert.exists) if q == 4 else cert
+
+    monkeypatch.setattr(bounds, "exists_code_with_distance", wrong_over_f4)
+    code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
+    assert code == 1
+    assert "certificate_oracle_agreement: FAIL" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["search-max", "--q", "2", "--r", "3", "--h", "0"],
     ["bounds", "vbar", "--q", "2", "--h", "3", "--n", "5"],
@@ -198,11 +214,20 @@ def test_selftest(capsys):
     ["search-max", "--q", "2", "--r", "-1", "--h", "2"],
     ["search-max", "--q", "3", "--r", "0", "--h", "2"],
     ["search-max", "--q", "3", "--r", "0", "--h", "1"],
+    ["bounds", "vbar", "--exact", "--q", "4", "--h", "0", "--n", "6"],
+    ["bounds", "vbar", "--q", "4", "--h", "-1", "--n", "6"],
+    ["bounds", "table", "--q", "2", "--h-min", "0", "--h-max", "2"],
+    ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "0"],
+    ["bounds", "vbar", "--exact", "--q", "4", "--h", "2", "--n", "6", "--budget", "0"],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error: ")
+    if "--budget" in argv:
+        assert "--budget" in err
+    elif argv[0] == "bounds":
+        assert "h=" in err
 
 
 @pytest.mark.parametrize("q, message", [
