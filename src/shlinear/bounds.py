@@ -18,7 +18,6 @@ Cells with no qualifying entry get the sentinel X.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from pathlib import Path
@@ -199,41 +198,47 @@ def _free_columns(n: int, pivots: Sequence[int]) -> List[List[int]]:
 def _rows(values: Sequence[Sequence[int]], pivot: int, cols: Sequence[int]):
     """Packed rows with 1 at the pivot, any value at each column of cols and
     0 elsewhere, in itertools.product order over cols: the first varies
-    slowest. values[c] lists the packed a*e_c, a = 0, ..., q-1."""
-    base = values[pivot][1]
-    return (base + sum(pick) for pick in itertools.product(*(values[c] for c in cols)))
+    slowest. They come lazily as one list per value at the first column.
+    values[c] lists the packed a*e_c, a = 0, ..., q-1."""
+    rows = [values[pivot][1]]
+    for c in cols[1:]:
+        rows = [row + v for row in rows for v in values[c]]
+    for v in values[cols[0]] if cols else [0]:
+        yield [v + row for row in rows]
 
 
-def _walk(levels, counts, heavy, extend, span, chosen) -> int:
+def _walk(levels, below, heavy, extend, span, chosen) -> int:
     """Depth-first search over the generator matrices of one pivot set that
     extend the rows in `chosen`, one row per level, outermost level first.
-    `levels[i]` iterates the values of that row whose own weight is >= d,
-    `counts[i]` is the number of completions of a prefix of i rows, `heavy(rows, span)` keeps the rows
-    whose sum with every word of `span` (the code of the rows fixed above)
-    has weight >= d, and `extend` returns the code spanned with one more row.
+    `levels[i]` iterates the values of that row in blocks, each a list of
+    rows and the sublist of those of weight >= d, `below[i]` is the number
+    of completions of a prefix ending at level i, `heavy(rows, span)` keeps
+    the rows whose sum with every word of `span` (the nonzero code of the
+    rows fixed above) has weight >= d, and `extend` returns that code with
+    one more row.
 
-    A row that has a lighter word is ruled out with all its completions,
-    since they have that word too, so each level is filtered once against
-    the span and only the surviving rows are descended into. Returns the
-    number of codes decided; at the first code without a lighter word it
-    stops, with that code's rows in `chosen`, and the count is then partial."""
+    A row with a lighter word is ruled out with all its completions, since
+    they have that word too, so each block is filtered once against the span
+    and only the surviving rows are descended into. Returns the number of
+    codes decided: below[level] for each row generated and ruled out, plus
+    what each survivor's subtree returns. At the first code without a
+    lighter word it stops, with that code's rows in `chosen`."""
     level = len(chosen)
-    if level and not isinstance(levels[level], list):
-        # an inner level is revisited under every prefix, so it is listed on
-        # its first visit (at most q^(n-k) rows, <= sqrt of the number of
-        # codes); the outermost is walked once and stays lazy
-        levels[level] = list(levels[level])
-    checked = done = 0
-    for row in heavy(levels[level], span):
-        chosen.append(row)
-        if level + 1 == len(levels):
-            return checked
-        checked += _walk(levels, counts, heavy, extend, extend(span, row), chosen)
-        if len(chosen) == len(levels):
-            return checked
-        chosen.pop()
-        done += 1
-    return checked + counts[level] - done * counts[level + 1]
+    checked = seen = done = 0
+    for block, own in levels[level]:
+        for row in heavy(own, span):
+            chosen.append(row)
+            if level + 1 < len(levels):
+                checked += _walk(levels, below, heavy, extend, extend(span, row), chosen)
+            else:
+                checked += 1
+            if len(chosen) == len(levels):
+                # every row before this one was descended into or ruled out
+                return checked + (seen + block.index(row) - done) * below[level]
+            chosen.pop()
+            done += 1
+        seen += len(block)
+    return checked + (seen - done) * below[level]
 
 
 def exists_code_with_distance(
@@ -261,21 +266,11 @@ def exists_code_with_distance(
     if k == 0:
         return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
     space = PackedSpace(ctx, n)
-    low, high = space.low, space.high
     unit = lambda c: space.pack([0] * c + [1] + [0] * (n - 1 - c))
     values = [[0, *space.multiples(unit(c))] for c in range(n)]  # values[c][a] = a*e_c
-
-    def heavy(rows, span):
-        # space.distance(row, neg) >= d, inlined
-        for neg in span:
-            rows = [
-                row for row in rows
-                if ((((x := row ^ neg) & low) + low | x) & high).bit_count() >= d
-            ]
-        return rows
-
-    # the span holds the nonzero negated codewords; a row's own weight is
-    # checked once, as its level is generated
+    heavy = lambda rows, span: space.far(rows, span, d)
+    own = lambda rows: (rows, heavy(rows, [0]))  # a block and its rows of weight >= d
+    # the span holds the nonzero negated codewords
     extend = lambda span, row: [*span, *space.add_all(space.multiples(row), [0, *span])]
     # over F_2 the highest counter bits belong to row k-1, so it is the
     # outermost, and its last free column varies slowest
@@ -284,23 +279,19 @@ def exists_code_with_distance(
     for pivots in itertools.combinations(range(n), k):
         free = _free_columns(n, pivots)
         cols = [free[i][::-1] if q == 2 else free[i] for i in order]
-        levels = [
-            (row for row in _rows(values, pivots[i], c) if space.distance(row, 0) >= d)
-            for i, c in zip(order, cols)
-        ]
-        counts = [q ** sum(map(len, cols[i:])) for i in range(k + 1)]
+        outer, *inner = [_rows(values, pivots[i], c) for i, c in zip(order, cols)]
+        # the outermost row is walked once, so it stays lazy; an inner row is
+        # revisited under every prefix, so it is listed once. An inner row
+        # has at most n-k free columns and count >= q^(k(n-k)), so its list
+        # holds at most sqrt(count) rows.
+        levels = [map(own, outer), *(list(map(own, rows)) for rows in inner)]
+        below = [q ** sum(map(len, cols[i + 1:])) for i in range(k)]
         rows = []
-        decided = _walk(levels, counts, heavy, extend, [], rows)
+        checked += _walk(levels, below, heavy, extend, [], rows)
         if rows:
-            # every code before the witness in the order was decided
             coords = [space.unpack(row) for row in rows]
-            before = sum(
-                functools.reduce(lambda a, c: a * q + x[c], cs, 0) * below
-                for x, cs, below in zip(coords, cols, counts[1:])
-            )
             witness = tuple(coords[::-1] if q == 2 else coords)
-            return ExhaustiveCertificate(q, n, k, d, True, checked + before + 1, witness)
-        checked += decided
+            return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
     if checked != count:
         raise CertificateCountError(
             f"enumeration of [{n},{k}] codes over F_{q} decided {checked} of {count}"

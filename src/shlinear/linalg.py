@@ -5,7 +5,7 @@ plus their FieldCtx. Everything here is plain Gauss-Jordan elimination; the
 dimensions this package works at (r <= ~20, q <= 256) never justify more.
 
 PackedSpace holds vectors of any F_q^r as ints with packed addition,
-scalar multiples and Hamming distance; the combination kernel of shset and
+scalar multiples and a Hamming-distance filter; the combination kernel of shset and
 the code enumeration of bounds share it. For F_2 there is also the plain
 bit-packed form (gf2_pack, XOR arithmetic) of the column eliminations;
 gf2_rank must agree with the generic rank on every input, which the test
@@ -406,9 +406,10 @@ class PackedSpace:
     adds the ints, then subtracts p in every field whose digit reached p.
 
     Two packed vectors agree in a coordinate exactly when their XOR x is zero
-    there, so distance() is a mask, an add, an or, a mask and a bit count:
-    adding all ones to a coordinate's low bits of x carries into its top bit
-    exactly when one of them is set, and or-ing x brings in the top bit."""
+    there, so the distance far() filters by is a mask, an add, an or, a mask
+    and a bit count: adding all ones to a coordinate's low bits of x carries
+    into its top bit exactly when one of them is set, and or-ing x brings in
+    the top bit."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         p, m = ctx.p, ctx.m
@@ -470,10 +471,13 @@ class PackedSpace:
                 out.append(self.add(out[-step], base))
         return out[1:]
 
-    def distance(self, a: int, b: int) -> int:
-        """The number of coordinates in which a and b differ."""
-        x, low = a ^ b, self.low
-        return (((x & low) + low | x) & self.high).bit_count()
+    def far(self, rows: Sequence[int], words: Iterable[int], d: int) -> List[int]:
+        """The rows at Hamming distance >= d from every word, in order: one
+        shrinking list per word."""
+        low, high = self.low, self.high
+        for w in words:
+            rows = [r for r in rows if ((((x := r ^ w) & low) + low | x) & high).bit_count() >= d]
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -105,7 +105,7 @@ def test_rref_enumeration_is_exhaustive_and_distinct():
         for pivots in itertools.combinations(range(n), k):
             free = bounds._free_columns(n, pivots)
             for rows in itertools.product(
-                *(bounds._rows(values, p, c) for p, c in zip(pivots, free))
+                *([r for b in bounds._rows(values, p, c) for r in b] for p, c in zip(pivots, free))
             ):
                 rows = [space.unpack(r) for r in rows]
                 key = frozenset(
@@ -118,22 +118,6 @@ def test_rref_enumeration_is_exhaustive_and_distinct():
                 assert key not in seen  # each subspace generated exactly once
                 seen.add(key)
         assert len(seen) == bounds.gaussian_binomial(n, k, q)
-
-
-def test_walk_revisits_inner_levels():
-    """An inner level is walked again under every prefix that survives, and
-    every row the filter drops is counted with all its completions."""
-    extend = lambda span, row: span + [row]
-    # under prefix 1 no row of the inner level survives, under prefix 2 only 20
-    heavy = lambda rows, span: [r for r in rows if not span or (span[-1], r) == (2, 20)]
-    levels, chosen = [iter([1, 2, 3]), iter([10, 20, 30])], []
-    bounds._walk(levels, [9, 3, 1], heavy, extend, [], chosen)
-    assert chosen == [2, 20]
-    # the outermost row 2 and every inner row are dropped: nothing is found
-    heavy = lambda rows, span: [r for r in rows if not span and r != 2]
-    levels, chosen = [iter([1, 2, 3]), iter([10, 20, 30])], []
-    decided = bounds._walk(levels, [9, 3, 1], heavy, extend, [], chosen)
-    assert (decided, chosen) == (9, [])
 
 
 def test_certificates_equal_the_unpruned_reference():
@@ -168,6 +152,29 @@ def test_none_certificate_must_count_every_code(monkeypatch):
     monkeypatch.setattr(bounds, "gaussian_binomial", lambda n, k, q: 97156)
     with pytest.raises(CertificateCountError):
         bounds.exists_code_with_distance(2, 8, 3, 5)
+
+
+@pytest.mark.parametrize("q, n, k, d, lossy", [
+    (2, 8, 2, 6, 0),
+    (2, 8, 2, 6, 1),
+    (3, 5, 3, 3, 0),
+    (3, 5, 3, 3, 1),
+    (3, 5, 3, 3, 2),
+    (4, 6, 2, 5, 0),
+    (4, 6, 2, 5, 1),
+])
+def test_lost_rows_leave_the_count_short(monkeypatch, q, n, k, d, lossy):
+    """The count tallies the rows each level generates, so a level that
+    loses its first list of rows leaves a "none" certificate short."""
+    rows, calls = bounds._rows, itertools.count()
+
+    def lossy_rows(*args):
+        out = rows(*args)
+        return itertools.islice(out, 1, None) if next(calls) % k == lossy else out
+
+    monkeypatch.setattr(bounds, "_rows", lossy_rows)
+    with pytest.raises(CertificateCountError):
+        bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)
 
 
 def test_repetition_code_found_by_search():

@@ -524,7 +524,7 @@ def test_engine_span_matches_elimination_other_modulus():
 ])
 def test_packed_arithmetic_matches_vectors(q, modulus):
     """Packing keeps the canonical order and round-trips, and the packed
-    add, scalar multiples and Hamming distance agree with FqVector arithmetic."""
+    add, scalar multiples and distance filter agree with FqVector arithmetic."""
     ctx = sl.field_of_order(q, modulus)
     r = 3 if q < 8 else 2
     engine = shset._Engine(ctx, r, 2)
@@ -538,7 +538,8 @@ def test_packed_arithmetic_matches_vectors(q, modulus):
         assert index[engine.add(a, b)] == index[a] + index[b]
         assert list(engine.add_all([a], [b, a])) == [engine.add(a, b), engine.add(a, a)]
         assert [index[m] for m in engine.multiples(a)] == [index[a].scale(c) for c in range(1, q)]
-        assert engine.distance(a, b) == sum(map(operator.ne, index[a].coords, index[b].coords))
+        dist = sum(map(operator.ne, index[a].coords, index[b].coords))
+        assert (engine.far([a], [b], dist), engine.far([a], [b], dist + 1)) == ([a], [])
 
 
 def test_plain_mode_never_below_linear_mode(f3, f5):
