@@ -6,10 +6,10 @@ dimensions this package works at (r <= ~20, q <= 256) never justify more.
 
 PackedSpace holds vectors of any F_q^r as ints with packed addition,
 scalar multiples and a Hamming-distance filter; the combination kernel of
-shset and the code enumeration of bounds share it. For F_2 there is also the plain
-bit-packed form (gf2_pack, XOR arithmetic) of the column eliminations;
-gf2_rank must agree with the generic rank on every input, which the test
-suite checks.
+shset and the code enumeration of bounds share it. For F_2 there is also
+the plain bit-packed form (gf2_pack, XOR arithmetic) of the column
+eliminations; gf2_rank must agree with the generic rank on every input,
+which the test suite checks.
 """
 
 from __future__ import annotations
