@@ -27,6 +27,8 @@ from .linalg import FqMatrix, decode_vector
 def _check_input(path: str) -> None:
     if not Path(path).exists():
         raise UsageError(f"input file not found: {path}")
+    if not Path(path).is_file():
+        raise UsageError(f"input is not a regular file: {path}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -158,9 +160,9 @@ def _cmd_verify(args) -> int:
 def _cmd_hspan(args) -> int:
     _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
-    values = sorted(shset.h_span(candidate), key=lambda v: v.encode())
-    fileio.save_vectors(args.out, candidate.ctx, candidate.r, values)
-    print(f"count={len(values)}")
+    lines = shset.h_span_lines(candidate)
+    fileio.save_lines(args.out, candidate.ctx, candidate.r, lines)
+    print(f"count={len(lines)}")
     print(f"out={args.out}")
     return 0
 
@@ -339,6 +341,31 @@ def _cmd_selftest(args) -> int:
         ok = ok and holds
     check("counting_law", ok)
 
+    # every value the combination kernel yields, and both sides of each
+    # first collision, equal the per-coordinate evaluation of the terms; a
+    # set may hold a and c*a, whose combinations collide inside one tuple
+    ok = True
+    for _ in range(args.trials):
+        q = rng.choice((2, 3, 4, 5, 8, 9))
+        ctx = field_of_order(q)
+        r = rng.randint(2, 3)
+        h = rng.randint(1, 3)
+        coords = {tuple(rng.randrange(q) for _ in range(r)) for _ in range(rng.randint(h, 5))}
+        a = (1,) + tuple(rng.randrange(q) for _ in range(r - 1))
+        if q > 2 and rng.random() < 0.5:
+            coords |= {a, tuple(ctx.mul(rng.randrange(2, q), c) for c in a)}
+        candidate = shset.ShSetCandidate.from_coords(ctx, sorted(coords), min(h, len(coords)))
+        ok = ok and all(
+            combo.evaluate(candidate) == value
+            for combo, value in shset.enumerate_h_combinations(candidate)
+        )
+        for witness in (shset.check_sh_linear(candidate), shset.check_sh_set(candidate)):
+            ok = ok and (witness is None or (
+                witness.lhs != witness.rhs
+                and witness.lhs.evaluate(candidate) == witness.rhs.evaluate(candidate) == witness.value
+            ))
+    check("combination_oracle_agreement", ok)
+
     # the XOR and generic search paths return the same maximum set on F_2
     ctx2 = field_of_order(2)
     ok = True
@@ -431,7 +458,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     except ShlinearError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
+    except OSError as exc:  # an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,11 +111,13 @@ def load_set(path, h: int) -> ShSetCandidate:
 
 
 def save_vectors(path, ctx: FieldCtx, r: int, vectors) -> None:
-    path = Path(path)
-    lines = [f"{_header_field(ctx)} r={r}"]
-    for v in vectors:
-        lines.append(" ".join(str(c) for c in v.coords))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    save_lines(path, ctx, r, [" ".join(str(c) for c in v.coords) for v in vectors])
+
+
+def save_lines(path, ctx: FieldCtx, r: int, lines: List[str]) -> None:
+    """A set file whose vector lines are given as text."""
+    text = "\n".join([f"{_header_field(ctx)} r={r}", *lines]) + "\n"
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def save_set(path, candidate: ShSetCandidate) -> None:

@@ -441,6 +441,16 @@ class PackedSpace:
         cmask, elem = self._cmask, self._elem
         return tuple(elem[(x >> s) & cmask] for s in self._shifts)
 
+    def lines(self, xs: Iterable[int]) -> List[str]:
+        """Each packed vector as its element codes separated by single
+        spaces, the row form of a set file, read off one coordinate's bit
+        field at a time through a table of the codes' text."""
+        cmask, shifts = self._cmask, self._shifts
+        text = [""] * (cmask + 1)
+        for f, a in self._elem.items():
+            text[f] = str(a)
+        return [" ".join([text[(x >> s) & cmask] for s in shifts]) for x in xs]
+
     def vectors(self, k: int) -> Iterator[int]:
         """Every packed vector of F_q^k, in canonical order."""
         return map(self.pack, itertools.product(range(self.q), repeat=k))

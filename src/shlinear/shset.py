@@ -29,6 +29,19 @@ for odd p. The scalar multiples of a vector are packed sums of x, alpha*x,
 multiplication table. No table over the q^r vectors is built. For q = 2 the
 search uses an XOR specialization (_XorEngine) of the kernel's one per-set
 loop.
+
+The kernel works a block at a time (_Engine.blocks): one list of packed
+values per index tuple (i, *rest), the multiples of a_i added to the block
+of rest with the coefficient of a_i outermost, which is the pinned order.
+The blocks of the (h-1)-tuples are built once per call and kept: C(n,h-1)
+lists of at most (q-1)^(h-1) ints, less than the values a verification
+keeps of the h-combinations themselves. Verification tests each block
+against the values seen so far at once and walks a block value by value
+only when it meets one or repeats a value itself (two parallel elements);
+a value is remembered by its position, and the terms of the two colliding
+combinations are decoded from their positions only at the collision.
+h_span_lines sorts the distinct packed values and turns each into a
+set-file line once, with no FqVector in between.
 """
 
 from __future__ import annotations
@@ -181,24 +194,45 @@ class _Engine(linalg.PackedSpace):
 
     # -- combinations --
 
-    def combinations(self, elems: Sequence[int]) -> Iterator[Tuple[Terms, int]]:
-        """(terms, packed value) of every canonical h-combination of elems,
-        in the pinned order."""
-        scaled = [self.scaled(x) for x in elems]
-        for idxs in itertools.combinations(range(len(elems)), self.h):
-            partials = [0]
-            for i in idxs:
-                partials = self.add_all(partials, scaled[i])
+    def blocks(self, scaled: Sequence[List[int]]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
+        """(index tuple, packed values) of every canonical h-combination of
+        the elements whose usable multiples are scaled, in the pinned order:
+        index tuples lexicographically, then coefficient tuples ascending.
+        The values of (i, *rest) are scaled[i] added to the block of rest,
+        the coefficient of i outermost; the blocks of the (h-1)-tuples are
+        built once, level by level, and kept for the whole call."""
+        n, add_all = len(scaled), self.add_all
+        # tails[j]: (tuple, block) of the k-tuples starting at j, the empty
+        # tuple standing at j = n
+        tails: List[list] = [[] for _ in range(n)] + [[((), [0])]]
+        for _ in range(self.h - 1):
+            tails = [
+                [((i,) + t, list(add_all(scaled[i], b))) for j in range(i + 1, n + 1) for t, b in tails[j]]
+                for i in range(n)
+            ] + [[]]
+        for i, xs in enumerate(scaled):
+            for j in range(i + 1, n + 1):
+                for t, b in tails[j]:
+                    yield (i,) + t, list(add_all(xs, b))
+
+    def combinations(self, scaled: Sequence[List[int]]) -> Iterator[Tuple[Terms, int]]:
+        """(terms, packed value) of every canonical h-combination, in the
+        pinned order."""
+        for idxs, values in self.blocks(scaled):
             coeffs = itertools.product(*(range(1, len(scaled[i]) + 1) for i in idxs))
-            yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), partials)
+            yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), values)
 
     def values_of(self, x: int) -> Optional[set]:
         """Values of the h-combinations that use x and h-1 of the pushed
-        elements, or None when one of them is already a value or two agree."""
-        partials, xs = self._sums[-1], self.scaled(x)
-        # a rejected x usually meets a seen value within the first few sums
-        if not self.seen.isdisjoint(self.add_all(partials, xs)):
+        elements, or None when one of them is already a value or two agree.
+        The seen values and the (h-1)-sums are both closed under scaling by
+        F_q^*, so c*x + s is seen exactly when x + s/c is: only x's
+        coefficient-1 values are tested against them (in plain mode x is
+        its only multiple anyway), before the fresh values are built once."""
+        partials = self._sums[-1]
+        if not self.seen.isdisjoint(self.add_all(partials, (x,))):
             return None
+        xs = self.scaled(x)
         fresh = set(self.add_all(partials, xs))
         return fresh if len(fresh) == len(partials) * len(xs) else None
 
@@ -264,19 +298,17 @@ class _XorEngine(_Engine):
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _combinations(
-    candidate: ShSetCandidate, plain: bool
-) -> Tuple[_Engine, Iterator[Tuple[Terms, int]]]:
-    """A kernel for the candidate's space, and its canonical combinations as
-    (terms, packed value); plain=True restricts all coefficients to 1."""
+def _kernel(candidate: ShSetCandidate, plain: bool) -> Tuple[_Engine, List[List[int]]]:
+    """A kernel for the candidate's space, and the multiples each element's
+    combinations use; plain=True restricts all coefficients to 1."""
     engine = _Engine(candidate.ctx, candidate.r, candidate.h, plain)
-    return engine, engine.combinations([engine.pack(v.coords) for v in candidate.elems])
+    return engine, [engine.scaled(engine.pack(v.coords)) for v in candidate.elems]
 
 
 def enumerate_h_combinations(candidate: ShSetCandidate) -> Iterator[Tuple[HCombination, FqVector]]:
     """Stream every canonical h-linear combination with its value."""
-    engine, combos = _combinations(candidate, plain=False)
-    for terms, value in combos:
+    engine, scaled = _kernel(candidate, plain=False)
+    for terms, value in engine.combinations(scaled):
         yield HCombination(terms), FqVector(candidate.ctx, engine.unpack(value))
 
 
@@ -291,11 +323,25 @@ def count_h_combinations(candidate: ShSetCandidate) -> int:
     return (q - 1) ** h * math.comb(n, h)
 
 
+def _span(candidate: ShSetCandidate) -> Tuple[_Engine, set]:
+    engine, scaled = _kernel(candidate, plain=False)
+    span: set = set()
+    for _, values in engine.blocks(scaled):
+        span.update(values)
+    return engine, span
+
+
 def h_span(candidate: ShSetCandidate) -> set:
     """The value set of all h-linear combinations (deduplicated)."""
-    engine, combos = _combinations(candidate, plain=False)
-    values = {value for _, value in combos}
-    return {FqVector(candidate.ctx, engine.unpack(v)) for v in values}
+    engine, span = _span(candidate)
+    return {FqVector(candidate.ctx, engine.unpack(v)) for v in span}
+
+
+def h_span_lines(candidate: ShSetCandidate) -> List[str]:
+    """The set-file lines of the values in h_span, in canonical encoding
+    order: packed values sort numerically in that order."""
+    engine, span = _span(candidate)
+    return engine.lines(sorted(span))
 
 
 # ---------------------------------------------------------------------------
@@ -303,15 +349,48 @@ def h_span(candidate: ShSetCandidate) -> set:
 # ---------------------------------------------------------------------------
 
 def _first_collision(candidate: ShSetCandidate, plain: bool) -> Optional[CollisionWitness]:
-    engine, combos = _combinations(candidate, plain)
-    seen: Dict[int, Terms] = {}
-    for terms, value in combos:
-        prev = seen.get(value)
-        if prev is not None:
-            value_vector = FqVector(candidate.ctx, engine.unpack(value))
-            return CollisionWitness(HCombination(prev), HCombination(terms), value_vector)
-        seen[value] = terms
+    """The first value, in the pinned order, that an earlier combination
+    already took. Each block is tested against the dict of earlier values
+    at once; a block is walked value by value only when it meets one, or
+    when it repeats a value itself (two parallel elements). A value's
+    position is its block's number times the largest block size plus its
+    offset in the block, and the terms are decoded from positions only at
+    the collision."""
+    engine, scaled = _kernel(candidate, plain)
+    size = max(len(xs) for xs in scaled) ** candidate.h
+    seen: Dict[int, int] = {}
+    earlier = seen.keys()
+    for block, (_, values) in enumerate(engine.blocks(scaled)):
+        base = block * size
+        if earlier.isdisjoint(values):
+            count = len(seen)
+            seen.update(zip(values, range(base, base + len(values))))
+            if len(seen) - count == len(values):
+                continue
+            known: Dict[int, int] = {}  # the repeat lies inside this block
+        else:
+            known = seen
+        for pos, value in enumerate(values, base):
+            prev = known.setdefault(value, pos)
+            if prev != pos:
+                lhs, rhs = (_terms(scaled, candidate.h, p, size) for p in (prev, pos))
+                value_vector = FqVector(candidate.ctx, engine.unpack(value))
+                return CollisionWitness(HCombination(lhs), HCombination(rhs), value_vector)
     return None
+
+
+def _terms(scaled: Sequence[List[int]], h: int, pos: int, size: int) -> Terms:
+    """The terms of the combination at a position: the block number is the
+    rank of its index tuple in lexicographic order, the offset a mixed-radix
+    number whose digits are the coefficient indices, the first index's most
+    significant."""
+    block, offset = divmod(pos, size)
+    idxs = next(itertools.islice(itertools.combinations(range(len(scaled)), h), block, None))
+    coeffs = []
+    for i in reversed(idxs):
+        offset, c = divmod(offset, len(scaled[i]))
+        coeffs.append(c + 1)
+    return tuple(zip(idxs, reversed(coeffs)))
 
 
 def check_sh_linear(candidate: ShSetCandidate) -> Optional[CollisionWitness]:
@@ -338,10 +417,10 @@ def collision_groups(
 ) -> List[Tuple[FqVector, Tuple[HCombination, ...]]]:
     """Every value hit by more than one combination, with all of its
     combinations, ordered by first occurrence. Empty iff the set verifies."""
-    engine, combos = _combinations(candidate, plain)
+    engine, scaled = _kernel(candidate, plain)
     groups: Dict[int, List[Terms]] = {}
     order: List[int] = []
-    for terms, value in combos:
+    for terms, value in engine.combinations(scaled):
         bucket = groups.get(value)
         if bucket is None:
             groups[value] = [terms]

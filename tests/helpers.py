@@ -5,7 +5,7 @@ lookup tables and incremental machinery so they can vouch for them."""
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from shlinear import linalg
 from shlinear.bounds import ExhaustiveCertificate, gaussian_binomial
@@ -13,7 +13,7 @@ from shlinear.code import LinearCode
 from shlinear.errors import BudgetExceededError
 from shlinear.gf import FieldCtx, field_of_order
 from shlinear.linalg import FqVector
-from shlinear.shset import ShSetCandidate, _Engine, check_sh_linear
+from shlinear.shset import CollisionWitness, HCombination, ShSetCandidate, _Engine, check_sh_linear
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +236,50 @@ def reference_exists_code_with_distance(
         if good:
             return ExhaustiveCertificate(q, n, k, d, True, checked, tuple(tuple(r) for r in rows))
     return ExhaustiveCertificate(q, n, k, d, False, checked)
+
+
+# ---------------------------------------------------------------------------
+# per-tuple combination enumeration: a fresh product and chain of packed
+# additions for every index tuple, a terms tuple for every value
+# ---------------------------------------------------------------------------
+
+def reference_combinations(engine: _Engine, elems: Sequence[int]) -> Iterator[Tuple[tuple, int]]:
+    """(terms, packed value) of every canonical h-combination of elems,
+    in the pinned order."""
+    scaled = [engine.scaled(x) for x in elems]
+    for idxs in itertools.combinations(range(len(elems)), engine.h):
+        partials = [0]
+        for i in idxs:
+            partials = engine.add_all(partials, scaled[i])
+        coeffs = itertools.product(*(range(1, len(scaled[i]) + 1) for i in idxs))
+        yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), partials)
+
+
+def reference_enumeration(candidate: ShSetCandidate, plain: bool = False) -> List[Tuple[tuple, FqVector]]:
+    """(terms, value) of every canonical combination, by the per-tuple scan."""
+    engine = _Engine(candidate.ctx, candidate.r, candidate.h, plain)
+    combos = reference_combinations(engine, [engine.pack(v.coords) for v in candidate.elems])
+    return [(terms, FqVector(candidate.ctx, engine.unpack(value))) for terms, value in combos]
+
+
+def reference_first_collision(combos: List[Tuple[tuple, FqVector]]) -> Optional[CollisionWitness]:
+    """The first combination of an enumeration whose value an earlier one
+    took, with that one."""
+    seen: Dict[FqVector, tuple] = {}
+    for terms, value in combos:
+        prev = seen.setdefault(value, terms)
+        if prev != terms:
+            return CollisionWitness(HCombination(prev), HCombination(terms), value)
+    return None
+
+
+def reference_collision_groups(combos: List[Tuple[tuple, FqVector]]) -> List[Tuple[FqVector, tuple]]:
+    """Every value of an enumeration taken more than once, with its terms,
+    by first occurrence."""
+    groups: Dict[FqVector, List[tuple]] = {}
+    for terms, value in combos:
+        groups.setdefault(value, []).append(terms)
+    return [(value, tuple(terms)) for value, terms in groups.items() if len(terms) > 1]
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,13 @@
 
 import dataclasses
 import os
+import subprocess
+import sys
 
 import pytest
 
-from shlinear import bounds, cli, fileio, fixtures
+import shlinear
+from shlinear import bounds, cli, fileio, fixtures, shset
 
 
 def run(capsys, *argv):
@@ -16,6 +19,9 @@ def run(capsys, *argv):
 
 def fx(name):
     return str(fixtures.fixture_path(name))
+
+
+DATA_DIR = os.path.dirname(fx(fixtures.SET_F3_R5))
 
 
 def test_verify_linear_collision_exit_1(capsys):
@@ -76,6 +82,30 @@ def test_hspan_writes_sorted_values(tmp_path, capsys):
     assert "count=8" in out
     _, _, vectors = fileio.load_vectors(out_path)
     assert len(vectors) == 8
+
+
+@pytest.mark.parametrize("name", [f for f in fixtures.ALL_FIXTURES if f.endswith(".set")])
+def test_hspan_file_equals_saved_sorted_span(tmp_path, capsys, name):
+    """The span is written from sorted packed values; the file is the one
+    save_vectors makes of the FqVector span sorted by encoding."""
+    for h in (1, 2, 3):
+        out_path, expected = tmp_path / f"span{h}.set", tmp_path / f"expected{h}.set"
+        code, _, _ = run(capsys, "hspan", "--set", fx(name), "--h", str(h), "--out", str(out_path))
+        assert code == 0
+        candidate = fileio.load_set(fx(name), h)
+        span = sorted(shset.h_span(candidate), key=lambda v: v.encode())
+        fileio.save_vectors(expected, candidate.ctx, candidate.r, span)
+        assert out_path.read_bytes() == expected.read_bytes()
+
+
+def test_python_m_shlinear_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(shlinear.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "shlinear", "--help"], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0
+    assert "search-max" in done.stdout
 
 
 def test_to_set_to_code_round_trip_via_files(tmp_path, capsys):
@@ -184,6 +214,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
     assert code == 0
     assert "counting_law: pass" in out
+    assert "combination_oracle_agreement: pass" in out
     assert "packed_generic_agreement: pass" in out
     assert "search_oracle_agreement: pass" in out
     assert "certificate_oracle_agreement: pass" in out
@@ -219,6 +250,14 @@ def test_selftest_checks_f4_certificates(capsys, monkeypatch):
     ["bounds", "table", "--q", "2", "--h-min", "0", "--h-max", "2"],
     ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "0"],
     ["bounds", "vbar", "--exact", "--q", "4", "--h", "2", "--n", "6", "--budget", "0"],
+    # a directory where a file is expected, as input or as output
+    ["verify", "--set", DATA_DIR, "--h", "2"],
+    ["mindist", "--matrix", DATA_DIR],
+    ["hspan", "--set", fx(fixtures.SET_F3_R5), "--h", "2", "--out", DATA_DIR],
+    ["to-set", "--matrix", fx(fixtures.PARITY_F2_8X8), "--h", "1", "--out", DATA_DIR],
+    ["to-code", "--set", fx(fixtures.SET_F2_R10), "--h", "3", "--out", DATA_DIR],
+    ["extend", "--set", fx(fixtures.SET_F3_R3), "--h", "2", "--out", DATA_DIR],
+    ["search-max", "--q", "2", "--r", "3", "--h", "2", "--out", DATA_DIR],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, _, err = run(capsys, *argv)

@@ -18,7 +18,13 @@ from shlinear.errors import (
     ScalarZeroError,
     SpaceTooLargeError,
 )
-from helpers import random_candidate, random_verified_set
+from helpers import (
+    random_candidate,
+    random_verified_set,
+    reference_collision_groups,
+    reference_enumeration,
+    reference_first_collision,
+)
 
 
 def vec(ctx, *coords):
@@ -92,6 +98,52 @@ def test_enumeration_order_is_pinned(f3, tiny_ternary_set):
         (((0, 1), (2, 1)), (0, 1, 0)),
         (((0, 1), (2, 2)), (0, 2, 0)),
     ]
+
+
+def _kernel_grid_sets(ctx, h, rng):
+    """Verifying sets with and without 0, random sets (which mostly
+    collide), and, for q > 2, sets led by a and c*a, whose first collision
+    lies inside the first index tuple."""
+    q, r = ctx.q, 3 if ctx.q < 7 else 2
+    size = max(k for k in (h, h + 1, h + 2) if k == h or (q - 1) ** h * math.comb(k, h) <= 6000)
+    sets = [random_verified_set(rng, ctx, r, h, size, z, max_attempts=100) for z in (True, False)]
+    sets += [random_candidate(rng, ctx, r, h, size, include_zero=z) for z in (True, False)]
+    if q > 2:
+        a = linalg.FqVector(ctx, (1,) + tuple(rng.randrange(q) for _ in range(r - 1)))
+        for c in (2, q - 1):
+            rest = random_candidate(rng, ctx, r, 1, size, include_zero=False).elems
+            elems = [a, a.scale(c)] + [v for v in rest if v not in (a, a.scale(c))][: size - 2]
+            sets.append(shset.ShSetCandidate(ctx, r, tuple(elems), h))
+    return [s for s in sets if s is not None and len(s) >= h]
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_block_kernel_equals_the_per_tuple_reference(q):
+    """Enumeration, span, collision groups and both first-collision
+    witnesses equal those of the per-tuple scan, field by field."""
+    ctx = sl.field_of_order(q)
+    rng = random.Random(700 + q)
+    verified = inside_one_tuple = 0
+    for h in (1, 2, 3, 4):
+        for cand in _kernel_grid_sets(ctx, h, rng):
+            ref = reference_enumeration(cand)
+            assert [(c.terms, v) for c, v in sl.enumerate_h_combinations(cand)] == ref
+            assert sl.h_span(cand) == {v for _, v in ref}
+            for plain, check in ((False, sl.check_sh_linear), (True, sl.check_sh_set)):
+                combos = reference_enumeration(cand, plain) if plain else ref
+                got, want = check(cand), reference_first_collision(combos)
+                if want is None:
+                    assert got is None
+                    verified += 1
+                else:
+                    assert (got.lhs.terms, got.rhs.terms, got.value) == (
+                        want.lhs.terms, want.rhs.terms, want.value)
+                    inside_one_tuple += got.lhs.indices() == got.rhs.indices()
+                groups = sl.collision_groups(cand, plain)
+                assert [(v, tuple(c.terms for c in cs)) for v, cs in groups] == (
+                    reference_collision_groups(combos))
+    assert verified > 0
+    assert inside_one_tuple > 0 or q == 2
 
 
 # ---------------------------------------------------------------------------
