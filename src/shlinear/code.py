@@ -14,11 +14,12 @@ Each is the oracle for the other; the test suite cross-validates them.
 distance_at_least walks the column subsets of each size s = 1..d-1 depth
 first, choosing the largest column first and counting up at each level, so
 the subsets come in colex order and the witness is the colex-first
-dependent subset of the smallest dependent size. The chosen columns are
-kept on a linalg.EchelonStack. No proper prefix of a size-s subset can be
-dependent, since it is a smaller subset and every smaller subset passed
-already, so each subset costs one reduction of its smallest column against
-the s-1 columns on the stack.
+dependent subset of the smallest dependent size. The columns are packed
+once (linalg.PackedSpace), and the chosen ones are kept on a
+linalg.EchelonStack. No proper prefix of a size-s subset can be dependent,
+since it is a smaller subset and every smaller subset passed already, so
+each subset costs one reduction of its smallest column against the s-1
+columns on the stack.
 """
 
 from __future__ import annotations
@@ -156,12 +157,13 @@ def codewords(code: LinearCode) -> Iterator[FqVector]:
         yield linalg.zero_vector(ctx, n)
         return
     if ctx.q == 2:
-        rows = [linalg.gf2_pack(r) for r in code.gen.entries]
+        space = linalg.PackedSpace(ctx, n)
+        rows = [space.pack(r) for r in code.gen.entries]
         word = 0
-        yield FqVector(ctx, linalg.gf2_unpack(word, n))
+        yield FqVector(ctx, space.unpack(word))
         for msg in range(1, 2 ** k):
             word ^= rows[(msg & -msg).bit_length() - 1]
-            yield FqVector(ctx, linalg.gf2_unpack(word, n))
+            yield FqVector(ctx, space.unpack(word))
         return
     add, mul = ctx._add, ctx._mul
     rows = [list(r) for r in code.gen.entries]
@@ -205,7 +207,8 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
         )
     best: Optional[int] = None
     if code.ctx.q == 2:
-        rows = [linalg.gf2_pack(r) for r in code.gen.entries]
+        space = linalg.PackedSpace(code.ctx, code.n)
+        rows = [space.pack(r) for r in code.gen.entries]
         word = 0
         for msg in range(1, 2 ** code.k):
             word ^= rows[(msg & -msg).bit_length() - 1]
@@ -232,17 +235,19 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
 
 
 def _first_dependent(
-    stack: linalg.EchelonStack, size: int, below: int
+    stack: linalg.EchelonStack, cols: List[int], size: int, below: int
 ) -> Optional[Tuple[int, ...]]:
-    """The colex-first `size` columns from range(below) that are dependent
-    together with the columns on the stack: the largest column is chosen
-    first, and each level counts up."""
+    """The colex-first `size` of the packed columns cols[:below] that are
+    dependent together with the columns on the stack: the largest column is
+    chosen first, and each level counts up."""
     if size == 1:
-        leaf = next(filter(stack.in_span, range(below)), None)
-        return None if leaf is None else (leaf,)
+        # an equal earlier column is in the span too, so the first in-span
+        # value sits at its first index
+        leaf = next(filter(stack.in_span, cols[:below]), None)
+        return None if leaf is None else (cols.index(leaf),)
     for top in range(size - 1, below):
-        stack.push(top)
-        rest = _first_dependent(stack, size - 1, top)
+        stack.push(cols[top])
+        rest = _first_dependent(stack, cols, size - 1, top)
         stack.pop()
         if rest is not None:
             return rest + (top,)
@@ -263,9 +268,10 @@ def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[in
         if d == 1:
             return True, None
         return False, (0,)
-    stack = linalg.EchelonStack(code.pchk.column_vectors())
+    stack = linalg.EchelonStack(code.ctx, code.pchk.rows)
+    cols = [stack.pack(c) for c in zip(*code.pchk.entries)]
     for size in range(1, min(d, code.n + 1)):
-        witness = _first_dependent(stack, size, code.n)
+        witness = _first_dependent(stack, cols, size, code.n)
         if witness is not None:
             return False, witness
     code.d_lower = max(code.d_lower, d)

@@ -6,17 +6,17 @@ dimensions this package works at (r <= ~20, q <= 256) never justify more.
 
 PackedSpace holds vectors of any F_q^r as ints with packed addition,
 scalar multiples and a Hamming-distance filter; the combination kernel of
-shset and the code enumeration of bounds share it. For F_2 there is also
-the plain bit-packed form (gf2_pack, XOR arithmetic) of the column
-eliminations; gf2_rank must agree with the generic rank on every input,
-which the test suite checks.
+shset and the code enumeration of bounds share it. EchelonStack is the one
+incremental elimination on it, an echelon basis with push and pop: the
+span stabilizer of the exact search, code.distance_at_least and
+shset.check_2h_subsets_independent all push packed vectors onto it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import DimensionMismatchError, FieldMismatchError
 from .gf import FieldCtx
@@ -203,7 +203,7 @@ class FqMatrix:
 # elimination
 # ---------------------------------------------------------------------------
 
-def _row_reduce(ctx: FieldCtx, rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
+def _gauss_jordan(ctx: FieldCtx, rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
     """In-place Gauss-Jordan; returns (rows, pivot_cols). Rows end up in
     reduced row echelon form with zero rows at the bottom."""
     sub, mul, inv = ctx.sub, ctx._mul, ctx._inv
@@ -236,14 +236,14 @@ def _row_reduce(ctx: FieldCtx, rows: List[List[int]], ncols: int) -> Tuple[List[
 def rref(matrix: FqMatrix) -> Tuple[FqMatrix, int, List[int]]:
     """Reduced row echelon form, rank, and pivot columns."""
     rows = [list(r) for r in matrix.entries]
-    rows, pivots = _row_reduce(matrix.ctx, rows, matrix.cols)
+    rows, pivots = _gauss_jordan(matrix.ctx, rows, matrix.cols)
     reduced = FqMatrix(matrix.ctx, matrix.rows, matrix.cols, tuple(tuple(r) for r in rows))
     return reduced, len(pivots), pivots
 
 
 def rank(matrix: FqMatrix) -> int:
     rows = [list(r) for r in matrix.entries]
-    _, pivots = _row_reduce(matrix.ctx, rows, matrix.cols)
+    _, pivots = _gauss_jordan(matrix.ctx, rows, matrix.cols)
     return len(pivots)
 
 
@@ -252,7 +252,7 @@ def kernel_basis(matrix: FqMatrix) -> List[FqVector]:
     free-column order."""
     ctx = matrix.ctx
     rows = [list(r) for r in matrix.entries]
-    rows, pivots = _row_reduce(ctx, rows, matrix.cols)
+    rows, pivots = _gauss_jordan(ctx, rows, matrix.cols)
     pivot_set = set(pivots)
     basis = []
     for free in range(matrix.cols):
@@ -282,7 +282,7 @@ def is_linearly_independent(vectors: Sequence[FqVector]) -> bool:
         return True
     ctx, dim = _common_frame(vectors)
     rows = [list(v.coords) for v in vectors]
-    _, pivots = _row_reduce(ctx, rows, dim)
+    _, pivots = _gauss_jordan(ctx, rows, dim)
     return len(pivots) == len(vectors)
 
 
@@ -292,10 +292,10 @@ def in_span(v: FqVector, vectors: Sequence[FqVector]) -> bool:
         return v.is_zero()
     ctx, dim = _common_frame(list(vectors) + [v])
     rows = [list(u.coords) for u in vectors]
-    _, pivots = _row_reduce(ctx, rows, dim)
+    _, pivots = _gauss_jordan(ctx, rows, dim)
     base = len(pivots)
     rows.append(list(v.coords))
-    _, pivots = _row_reduce(ctx, [r[:] for r in rows], dim)
+    _, pivots = _gauss_jordan(ctx, [r[:] for r in rows], dim)
     return len(pivots) == base
 
 
@@ -325,71 +325,13 @@ def extract_basis(vectors: Sequence[FqVector]) -> List[FqVector]:
     return basis
 
 
-class EchelonStack:
-    """Echelon basis of a stack of vectors drawn from a fixed list, with push
-    and pop. Each row is the pushed vector reduced by the rows below it, so
-    a span test costs one pass over the rows and pop is a truncation.
-
-    Vectors are addressed by their index in the list, which is converted
-    once: over F_2 to packed ints reduced by XOR, otherwise to coordinate
-    tuples reduced with the field tables.
-    """
-
-    def __init__(self, vectors: Sequence[FqVector]):
-        self._ctx, _ = _common_frame(vectors)
-        self._packed = self._ctx.q == 2
-        if self._packed:
-            self._vectors: list = [gf2_pack(v.coords) for v in vectors]
-        else:
-            self._vectors = [v.coords for v in vectors]
-        self._rows: list = []
-        self._ranks: List[int] = []
-
-    def in_span(self, i: int) -> bool:
-        """True iff vectors[i] lies in the span of the stack."""
-        return not self._reduce(self._vectors[i])
-
-    def push(self, i: int) -> bool:
-        """Push vectors[i]; True iff it lies outside the span of the stack
-        (the rank grew). Every push is undone by one pop."""
-        self._ranks.append(len(self._rows))
-        residue = self._reduce(self._vectors[i])
-        if not residue:
-            return False
-        if not self._packed:
-            # (pivot, coords, f): adding mul[f][c] * coords clears a c at pivot
-            pivot = next(j for j, c in enumerate(residue) if c)
-            ctx = self._ctx
-            residue = pivot, residue, ctx._neg[ctx._inv[residue[pivot]]]
-        self._rows.append(residue)
-        return True
-
-    def pop(self) -> None:
-        del self._rows[self._ranks.pop():]
-
-    def _reduce(self, v):
-        """v reduced by every row of the stack: falsy iff v lies in its span."""
-        if self._packed:
-            # XOR with a row clears the row's leading bit when v has it set
-            for row in self._rows:
-                v = min(v, v ^ row)
-            return v
-        add, mul = self._ctx._add, self._ctx._mul
-        for pivot, row, f in self._rows:
-            c = v[pivot]
-            if c:
-                m = mul[mul[f][c]]
-                v = [add[x][m[y]] for x, y in zip(v, row)]
-        return v if any(v) else None
-
-
 def span_size(vectors: Sequence[FqVector]) -> int:
     """|<vectors>| = q^rank; exact, no enumeration."""
     if not vectors:
         return 1
     ctx, dim = _common_frame(vectors)
     rows = [list(v.coords) for v in vectors]
-    _, pivots = _row_reduce(ctx, rows, dim)
+    _, pivots = _gauss_jordan(ctx, rows, dim)
     return ctx.q ** len(pivots)
 
 
@@ -490,30 +432,44 @@ class PackedSpace:
         return rows
 
 
-# ---------------------------------------------------------------------------
-# bit-packed F_2 path
-# ---------------------------------------------------------------------------
+class EchelonStack(PackedSpace):
+    """Echelon basis of a stack of packed vectors of F_q^r, with push and
+    pop. Each row is a pushed vector reduced by the rows below it, kept as
+    (shift, cancel): its leading coordinate sits at bit shift, and adding
+    cancel[c] clears a packed coordinate c there. A span test is one pass
+    over the rows, and pop is a truncation."""
 
-def gf2_pack(coords: Iterable[int]) -> int:
-    """Pack binary coordinates into an int; first coordinate is the most
-    significant bit, matching FqVector.encode for q = 2."""
-    word = 0
-    for c in coords:
-        word = (word << 1) | (c & 1)
-    return word
+    def __init__(self, ctx: FieldCtx, r: int):
+        super().__init__(ctx, r)
+        self._rows: List[Tuple[int, Dict[int, int]]] = []
+        self._ranks: List[int] = []
 
+    def reduce(self, x: int) -> int:
+        """x minus its projection on the rows: 0 exactly when x is in the span."""
+        cmask, add = self._cmask, self.add
+        for shift, cancel in self._rows:
+            c = (x >> shift) & cmask
+            if c:
+                x = add(x, cancel[c])
+        return x
 
-def gf2_unpack(word: int, r: int) -> Tuple[int, ...]:
-    return tuple((word >> (r - 1 - i)) & 1 for i in range(r))
+    def in_span(self, x: int) -> bool:
+        return not self.reduce(x)
 
+    def push(self, x: int) -> bool:
+        """Push x; True iff it lies outside the span of the stack (the rank
+        grew). Every push is undone by one pop."""
+        self._ranks.append(len(self._rows))
+        residue = self.reduce(x)
+        if not residue:
+            return False
+        shift = (residue.bit_length() - 1) // self._cw * self._cw
+        ctx = self.ctx
+        inv = ctx._inv[self._elem[residue >> shift]]
+        multiples = self.multiples(residue)
+        cancel = {self._field[c]: multiples[ctx._mul[ctx._neg[c]][inv] - 1] for c in range(1, self.q)}
+        self._rows.append((shift, cancel))
+        return True
 
-def gf2_rank(words: Sequence[int]) -> int:
-    """Rank over F_2 of row bitmasks, by XOR elimination."""
-    basis: List[int] = []
-    for w in words:
-        for b in basis:
-            w = min(w, w ^ b)
-        if w:
-            basis.append(w)
-            basis.sort(reverse=True)
-    return len(basis)
+    def pop(self) -> None:
+        del self._rows[self._ranks.pop():]

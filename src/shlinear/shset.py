@@ -28,7 +28,10 @@ for odd p. The scalar multiples of a vector are packed sums of x, alpha*x,
 ..., alpha^(m-1)*x, of which only the last m-1 use the field's
 multiplication table. No table over the q^r vectors is built. For q = 2 the
 search uses an XOR specialization (_XorEngine) of the kernel's one per-set
-loop.
+loop. The kernel is a linalg.EchelonStack on the same packed ints, so the
+span of a growing set, which the search's span stabilizer tests, is kept
+by the package's one incremental elimination; check_2h_subsets_independent
+pushes its packed vectors onto a stack of its own.
 
 The kernel works a block at a time (_Engine.blocks): one list of packed
 values per index tuple (i, *rest), the multiples of a_i added to the block
@@ -170,12 +173,12 @@ class CollisionWitness:
 # the combination kernel
 # ---------------------------------------------------------------------------
 
-class _Engine(linalg.PackedSpace):
+class _Engine(linalg.EchelonStack):
     """The combination kernel: packed vectors of F_q^r (see the module
     docstring), their canonical scalar multiples, and the bookkeeping of a
-    growing set for search and extension: the values of its h-combinations
-    and an echelon basis of its span, each row reduced by the rows before
-    it. In plain mode every coefficient is 1."""
+    growing set for search and extension: the values of its h-combinations,
+    and the echelon basis of its span it inherits. In plain mode every
+    coefficient is 1."""
 
     def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool = False):
         super().__init__(ctx, r)
@@ -184,8 +187,7 @@ class _Engine(linalg.PackedSpace):
         self.seen: set = set()
         # _sums[k]: the values of every canonical k-combination of elems
         self._sums: List[List[int]] = [[0]] + [[] for _ in range(h - 1)]
-        self.basis: List[Tuple[int, Dict[int, int]]] = []
-        self._marks: List[Tuple[int, List[int]]] = []
+        self._marks: List[List[int]] = []
 
     def scaled(self, x: int) -> List[int]:
         """The multiples of x a canonical combination can use: 1*x alone for
@@ -240,42 +242,18 @@ class _Engine(linalg.PackedSpace):
         self.seen.update(fresh)
         self.elems.append(x)
         sums = self._sums
-        self._marks.append((len(self.basis), [len(s) for s in sums]))
+        self._marks.append([len(s) for s in sums])
         xs = self.scaled(x)
         for k in range(len(sums) - 1, 0, -1):
             sums[k] += self.add_all(sums[k - 1], xs)
-        residue = self._reduce(x)
-        if residue:
-            # a row is (shift, cancel): its leading coordinate, at shift, is
-            # cleared from x by adding cancel[that coordinate]
-            shift = (residue.bit_length() - 1) // self._cw * self._cw
-            ctx = self.ctx
-            inv = ctx._inv[self._elem[residue >> shift]]
-            multiples = self.multiples(residue)
-            cancel = {
-                self._field[c]: multiples[ctx._mul[ctx._neg[c]][inv] - 1] for c in range(1, self.q)
-            }
-            self.basis.append((shift, cancel))
+        super().push(x)
 
     def pop(self, fresh) -> None:
         self.elems.pop()
         self.seen.difference_update(fresh)
-        rank, lengths = self._marks.pop()
-        del self.basis[rank:]
-        for s, n in zip(self._sums, lengths):
+        super().pop()
+        for s, n in zip(self._sums, self._marks.pop()):
             del s[n:]
-
-    def _reduce(self, x: int) -> int:
-        """x minus its projection on the basis: 0 exactly when x is in the span."""
-        cmask = self._cmask
-        for shift, cancel in self.basis:
-            c = (x >> shift) & cmask
-            if c:
-                x = self.add(x, cancel[c])
-        return x
-
-    def in_span(self, x: int) -> bool:
-        return not self._reduce(x)
 
 
 class _XorEngine(_Engine):
@@ -513,22 +491,24 @@ def check_2h_subsets_independent(candidate: ShSetCandidate) -> Optional[Tuple[Fq
             f"need 2h < r <= |A|; got h={h}, r={candidate.r}, |A|={len(candidate.elems)}"
         )
     nonzero = candidate.nonzero_elems()
-    first = _first_dependent_lex(linalg.EchelonStack(nonzero), 0, 2 * h, len(nonzero))
+    stack = linalg.EchelonStack(candidate.ctx, candidate.r)
+    first = _first_dependent_lex(stack, [stack.pack(v.coords) for v in nonzero], 0, 2 * h)
     return None if first is None else tuple(nonzero[i] for i in first)
 
 
 def _first_dependent_lex(
-    stack: linalg.EchelonStack, start: int, size: int, n: int
+    stack: linalg.EchelonStack, vectors: List[int], start: int, size: int
 ) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first `size` indices from range(start, n) that
-    are dependent together with the vectors on the stack. Every completion
-    of a dependent prefix is dependent, so the first one found is returned
-    with its first completion; the range of i leaves room for it."""
-    for i in range(start, n - size + 1):
-        if not stack.push(i):
+    """The lexicographically first `size` indices from range(start,
+    len(vectors)) whose packed vectors are dependent together with the
+    vectors on the stack. Every completion of a dependent prefix is
+    dependent, so the first one found is returned with its first
+    completion; the range of i leaves room for it."""
+    for i in range(start, len(vectors) - size + 1):
+        if not stack.push(vectors[i]):
             stack.pop()
             return tuple(range(i, i + size))
-        rest = _first_dependent_lex(stack, i + 1, size - 1, n) if size > 1 else None
+        rest = _first_dependent_lex(stack, vectors, i + 1, size - 1) if size > 1 else None
         stack.pop()
         if rest is not None:
             return (i,) + rest
@@ -602,7 +582,6 @@ def exhaustive_max_sh_set(
     h: int,
     must_contain_zero: bool = False,
     mode: str = "linear",
-    packed: Optional[bool] = None,
 ) -> Tuple[int, Optional[ShSetCandidate]]:
     """Exact maximum size of an S_h-linear (or plain S_h) set in F_q^r, with
     its lexicographically first maximum witness: of all maximum sets (that
@@ -629,9 +608,7 @@ def exhaustive_max_sh_set(
     encoding order is numeric order; they add by XOR for p = 2 and, for odd
     p, by an integer add that subtracts p from every field that reached p
     (see the module docstring). Returns (0, None) when no valid set of size
-    >= h exists. For q = 2 the XOR specialization of the kernel is used
-    unless packed=False selects the generic loop on F_2, which the tests and
-    selftest compare it with.
+    >= h exists. For q = 2 the XOR specialization of the kernel is used.
     """
     if mode not in ("linear", "plain"):
         raise InvalidParameterError(f"mode must be 'linear' or 'plain', got {mode!r}")
@@ -641,9 +618,8 @@ def exhaustive_max_sh_set(
         raise InvalidParameterError(f"r must be >= 1, got {r}")
     if ctx.q ** r > SEARCH_SPACE_CAP:
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
-    use_packed = ctx.q == 2 if packed is None else (packed and ctx.q == 2)
     plain = mode == "plain"
-    engine = (_XorEngine if use_packed else _Engine)(ctx, r, h, plain)
+    engine = (_XorEngine if ctx.q == 2 else _Engine)(ctx, r, h, plain)
     if plain:
         candidates = list(engine.vectors(r))[1:]
     else:  # leading nonzero coordinate 1; every nonzero vector when q = 2

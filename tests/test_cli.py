@@ -215,7 +215,6 @@ def test_selftest(capsys):
     assert code == 0
     assert "counting_law: pass" in out
     assert "combination_oracle_agreement: pass" in out
-    assert "packed_generic_agreement: pass" in out
     assert "search_oracle_agreement: pass" in out
     assert "certificate_oracle_agreement: pass" in out
     assert "distance_cross_validation: pass" in out
@@ -260,8 +259,9 @@ def test_selftest_checks_f4_certificates(capsys, monkeypatch):
     ["search-max", "--q", "2", "--r", "3", "--h", "2", "--out", DATA_DIR],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
-    code, _, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv)
     assert code == 2
+    assert out == ""
     assert err.startswith("error: ")
     if "--budget" in argv:
         assert "--budget" in err

@@ -169,7 +169,7 @@ def random_parity_checks(q, rng):
         yield sl.from_parity_check(linalg.FqMatrix.from_rows(ctx, rows))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_distance_at_least_equals_reference(q):
     rng = random.Random(1000 + q)
     verdicts = set()
@@ -199,8 +199,8 @@ def test_distance_walk_pushes_only_independent_prefixes(q, monkeypatch):
     pushes = []
     push = linalg.EchelonStack.push
 
-    def recording_push(self, i):
-        pushes.append(push(self, i))
+    def recording_push(self, x):
+        pushes.append(push(self, x))
         return pushes[-1]
 
     monkeypatch.setattr(linalg.EchelonStack, "push", recording_push)

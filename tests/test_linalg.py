@@ -1,5 +1,5 @@
 """Linear algebra: elimination against brute-force span oracles, the
-rank-nullity ledger, and the packed F_2 path."""
+rank-nullity ledger, and the packed echelon stack."""
 
 import itertools
 import random
@@ -123,15 +123,17 @@ def test_in_span_ternary_r9_combination(ternary_r9_set):
     assert linalg.in_span(v, list(elems))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4])
-def test_echelon_stack_matches_elimination(q):
-    ctx = sl.field_of_order(q)
+def _check_echelon_stack(ctx):
+    """Span tests and push verdicts of the stack agree with a fresh
+    elimination over a random sequence of pushes and pops."""
+    q = ctx.q
     rng = random.Random(40 + q)
     r = 4
     vectors = [linalg.FqVector(ctx, tuple(rng.randrange(q) for _ in range(r))) for _ in range(12)]
     vectors[3] = linalg.zero_vector(ctx, r)
     vectors[7] = vectors[1].scale(q - 1)
-    stack = linalg.EchelonStack(vectors)
+    stack = linalg.EchelonStack(ctx, r)
+    packs = [stack.pack(v.coords) for v in vectors]
     pushed = []
     for _ in range(200):
         if pushed and (len(pushed) > 5 or rng.random() < 0.4):
@@ -139,10 +141,22 @@ def test_echelon_stack_matches_elimination(q):
             pushed.pop()
             continue
         i = rng.randrange(len(vectors))
-        expected = linalg.in_span(vectors[i], [vectors[j] for j in pushed])
-        assert stack.in_span(i) == expected
-        assert stack.push(i) == (not expected)
-        pushed.append(i)
+        for x, v in zip(packs, vectors):
+            assert stack.in_span(x) == linalg.in_span(v, pushed)
+        expected = linalg.in_span(vectors[i], pushed)
+        assert stack.push(packs[i]) == (not expected)
+        pushed.append(vectors[i])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_echelon_stack_matches_elimination(q):
+    _check_echelon_stack(sl.field_of_order(q))
+
+
+@pytest.mark.parametrize("q,modulus", [(9, (2, 2, 1)), (8, (1, 0, 1, 1))])
+def test_echelon_stack_matches_elimination_other_modulus(q, modulus):
+    # x^2 + 2x + 2 over F_3 and x^3 + x^2 + 1 over F_2, not the defaults
+    _check_echelon_stack(sl.field_of_order(q, modulus))
 
 
 def test_extract_basis_order_and_rank(binary_s3_set):
@@ -152,10 +166,10 @@ def test_extract_basis_order_and_rank(binary_s3_set):
     it = iter(elems)
     assert all(any(b == x for x in it) for b in basis)
     # span size oracle: enumerate all subset sums
-    ctx = binary_s3_set.ctx
+    space = linalg.PackedSpace(binary_s3_set.ctx, binary_s3_set.r)
     words = {0}
     for v in elems:
-        packed = linalg.gf2_pack(v.coords)
+        packed = space.pack(v.coords)
         words |= {w ^ packed for w in words}
     assert len(words) == 2 ** len(basis)
     assert len(basis) == 10
@@ -180,24 +194,6 @@ def test_vector_encoding_is_lexicographic(f3):
     assert codes == list(range(27))
     for c in (0, 5, 26):
         assert linalg.decode_vector(f3, 3, c).encode() == c
-
-
-def test_gf2_pack_unpack_roundtrip():
-    rng = random.Random(1)
-    for _ in range(30):
-        coords = tuple(rng.randrange(2) for _ in range(9))
-        assert linalg.gf2_unpack(linalg.gf2_pack(coords), 9) == coords
-
-
-def test_gf2_rank_agrees_with_generic(f2):
-    rng = random.Random(2)
-    for _ in range(50):
-        nrows = rng.randint(1, 7)
-        ncols = rng.randint(1, 12)
-        rows = [[rng.randrange(2) for _ in range(ncols)] for _ in range(nrows)]
-        m = linalg.FqMatrix.from_rows(f2, rows)
-        packed = [linalg.gf2_pack(r) for r in rows]
-        assert linalg.gf2_rank(packed) == linalg.rank(m)
 
 
 def test_span_size(f3):

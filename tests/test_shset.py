@@ -366,7 +366,7 @@ def test_2h_subsets_dependent_witness(f2):
     assert not linalg.is_linearly_independent(list(witness))
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_2h_subsets_match_combination_scan(q):
     ctx = sl.field_of_order(q)
     rng = random.Random(300 + q)
@@ -480,61 +480,55 @@ def test_search_matches_powerset_oracle_f3(f3):
     assert plain == bruteforce_max(f3, 2, 2, mode="plain")[0]
 
 
-@pytest.mark.parametrize("q,r,h,mode,zero,packed", [
-    (q, r, h, mode, zero, packed)
+@pytest.mark.parametrize("q,r,h,mode,zero,xor", [
+    (q, r, h, mode, zero, xor)
     for q, r in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2))
     for h in (1, 2, 3)
     for mode in ("linear", "plain")
     for zero in (False, True)
-    for packed in ((None, False) if q == 2 else (None,))
+    for xor in ((None, False) if q == 2 else (None,))
 ])
-def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, packed):
+def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, xor, monkeypatch):
+    # xor=None searches on the engine the field picks; xor=False puts the
+    # generic kernel in place of the F_2 XOR specialization, so the scan
+    # checks the generic kernel's F_2 search as well
+    if xor is False:
+        monkeypatch.setattr(shset, "_XorEngine", shset._Engine)
     ctx = sl.field_of_order(q)
-    size, witness = sl.exhaustive_max_sh_set(
-        ctx, r, h, must_contain_zero=zero, mode=mode, packed=packed
-    )
+    size, witness = sl.exhaustive_max_sh_set(ctx, r, h, must_contain_zero=zero, mode=mode)
     assert (size, witness.elems if witness else None) == bruteforce_max(ctx, r, h, mode, zero)
 
 
-# (q, r, h, mode, packed) -> (maximum, witness codes): the first six as
+# (q, r, h, mode) -> (maximum, witness codes): the first six as
 # returned before the symmetry pruning of the search was introduced, the rest
 # as returned by the lookup-table (q^r <= 1024) and coordinate-tuple engines
-# that the packed kernel replaced
+# that the packed kernel replaced; the two q = 2 cases pin the XOR engine
 PINNED_SEARCHES = [
-    ((2, 5, 2, "linear", False), (7, (0, 1, 2, 4, 8, 15, 16))),
-    ((2, 5, 3, "linear", False), (6, (0, 1, 2, 4, 8, 16))),
-    ((3, 3, 2, "linear", None), (4, (0, 1, 3, 9))),
-    ((3, 3, 2, "plain", None), (6, (0, 1, 2, 3, 9, 24))),
-    ((5, 2, 2, "linear", None), (3, (0, 1, 5))),
-    ((5, 2, 2, "plain", None), (6, (0, 1, 2, 5, 10, 24))),
-    ((4, 3, 2, "linear", None), (4, (0, 1, 4, 16))),
-    ((3, 3, 3, "linear", None), (4, (0, 1, 3, 9))),
-    ((8, 2, 2, "linear", None), (3, (0, 1, 8))),
-    ((9, 2, 2, "linear", None), (3, (0, 1, 9))),
-    ((11, 3, 2, "linear", None), (4, (0, 1, 11, 121))),
+    ((2, 5, 2, "linear"), (7, (0, 1, 2, 4, 8, 15, 16))),
+    ((2, 5, 3, "linear"), (6, (0, 1, 2, 4, 8, 16))),
+    ((3, 3, 2, "linear"), (4, (0, 1, 3, 9))),
+    ((3, 3, 2, "plain"), (6, (0, 1, 2, 3, 9, 24))),
+    ((5, 2, 2, "linear"), (3, (0, 1, 5))),
+    ((5, 2, 2, "plain"), (6, (0, 1, 2, 5, 10, 24))),
+    ((4, 3, 2, "linear"), (4, (0, 1, 4, 16))),
+    ((3, 3, 3, "linear"), (4, (0, 1, 3, 9))),
+    ((8, 2, 2, "linear"), (3, (0, 1, 8))),
+    ((9, 2, 2, "linear"), (3, (0, 1, 9))),
+    ((11, 3, 2, "linear"), (4, (0, 1, 11, 121))),
 ]
 
 
 @pytest.mark.parametrize("case,expected", PINNED_SEARCHES)
 def test_search_witness_is_pinned(case, expected):
-    q, r, h, mode, packed = case
-    size, witness = sl.exhaustive_max_sh_set(sl.field_of_order(q), r, h, mode=mode, packed=packed)
+    q, r, h, mode = case
+    size, witness = sl.exhaustive_max_sh_set(sl.field_of_order(q), r, h, mode=mode)
     assert (size, tuple(v.encode() for v in witness.elems)) == expected
 
 
-def test_packed_and_generic_paths_agree(f2):
-    for r, h in ((3, 2), (4, 2), (3, 3), (4, 3)):
-        packed_size, packed_witness = sl.exhaustive_max_sh_set(f2, r, h)
-        generic_size, generic_witness = sl.exhaustive_max_sh_set(f2, r, h, packed=False)
-        assert packed_size == generic_size
-        assert packed_witness.elems == generic_witness.elems
-
-
-def _check_engine_span(ctx, r, packed, linear):
+def _check_engine_span(engine, r):
     """The kernel's incremental span agrees with linalg.in_span on every
     vector after each push and pop of a random sequence."""
-    q = ctx.q
-    engine = (shset._XorEngine if packed else shset._Engine)(ctx, r, 2, plain=not linear)
+    ctx, q = engine.ctx, engine.q
     vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
     packs = [engine.pack(v.coords) for v in vectors]
     rng = random.Random(q * 10 + r)
@@ -556,18 +550,20 @@ def _check_engine_span(ctx, r, packed, linear):
             check()
 
 
-@pytest.mark.parametrize("q,r,packed,linear", [
+@pytest.mark.parametrize("q,r,xor,linear", [
     (2, 4, True, True), (2, 4, False, True), (3, 3, False, True), (4, 2, False, True),
     (5, 2, False, True), (3, 3, False, False), (4, 2, False, False), (8, 2, False, True),
     (9, 2, False, True),
 ])
-def test_engine_span_matches_elimination(q, r, packed, linear):
-    # the span is the same in plain mode, where combinations use only 1*x
-    _check_engine_span(sl.field_of_order(q), r, packed, linear)
+def test_engine_span_matches_elimination(q, r, xor, linear):
+    # the span is the same in plain mode, where combinations use only 1*x;
+    # xor=True checks that the XOR specialization inherits it intact
+    engine_class = shset._XorEngine if xor else shset._Engine
+    _check_engine_span(engine_class(sl.field_of_order(q), r, 2, plain=not linear), r)
 
 
 def test_engine_span_matches_elimination_other_modulus():
-    _check_engine_span(sl.make_field(3, 2, (2, 2, 1)), 2, False, True)  # x^2 + 2x + 2
+    _check_engine_span(shset._Engine(sl.make_field(3, 2, (2, 2, 1)), 2, 2), 2)  # x^2 + 2x + 2
 
 
 @pytest.mark.parametrize("q,modulus", [
