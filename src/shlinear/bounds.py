@@ -31,7 +31,7 @@ from .errors import (
     ParseError,
     SingletonViolationError,
 )
-from .gf import field_of_order
+from .gf import factor_prime_power, field_of_order
 from .linalg import PackedSpace
 
 DEFAULT_SEARCH_BUDGET = 500_000
@@ -306,6 +306,7 @@ def exists_code_with_distance(
 def vbar_upper(entries: Sequence[CodeTableEntry], q: int, h: int, n: int) -> BoundResult:
     """Upper bound on vbar: min n-k over entries with d_low >= 2h+1 and
     2h <= n-k < n."""
+    factor_prime_power(q)
     if not 0 < 2 * h < n:
         raise InvalidParameterError(f"need h >= 1 and n > 2h, got h={h}, n={n}")
     target = 2 * h + 1
@@ -402,6 +403,7 @@ def sh_lower(entries: Sequence[CodeTableEntry], q: int, r: int, h: int) -> Bound
     """Lower bound on the maximum S_h-linear set size in F_q^r: the largest
     n+1 over entries with n-k = r and d_low >= 2h+1. A missing cell is the
     X sentinel, not an error."""
+    factor_prime_power(q)
     if h < 1:
         raise InvalidParameterError(f"need h >= 1, got h={h}")
     if r < 2 * h:
@@ -445,6 +447,7 @@ def emit_vbar_series(
 ) -> str:
     """CSV series n,vbar of snapshot-backed upper bounds on vbar; X where the
     snapshot has no witness."""
+    factor_prime_power(q)
     if h < 1:
         raise InvalidParameterError(f"need h >= 1, got h={h}")
     lines = ["n,vbar"]

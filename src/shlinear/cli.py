@@ -247,7 +247,10 @@ def _cmd_extend(args) -> int:
 def _cmd_search_max(args) -> int:
     modulus = None
     if args.poly:
-        modulus = tuple(int(c) for c in args.poly.split(","))
+        try:
+            modulus = tuple(int(c) for c in args.poly.split(","))
+        except ValueError:
+            raise UsageError(f"--poly must be integers c0,c1,...,cm, got {args.poly!r}") from None
     ctx = field_of_order(args.q, modulus)
     size, witness = shset.exhaustive_max_sh_set(
         ctx, args.r, args.h, must_contain_zero=args.contains_zero, mode=args.mode
@@ -406,9 +409,10 @@ def _cmd_selftest(args) -> int:
         ok = ok and (not cert.exists or reaches(cert.witness_rows))
     check("certificate_oracle_agreement", ok)
 
-    # two distance algorithms agree on random small binary and ternary codes
+    # two distance algorithms agree on random small codes over F_2, F_3 and
+    # F_4 (p = 2, m = 2 packing)
     ok = True
-    for ctx in (field_of_order(2), field_of_order(3)):
+    for ctx in (field_of_order(2), field_of_order(3), field_of_order(4)):
         for _ in range(max(3, args.trials // 5)):
             n = rng.randint(4, 8)
             k = rng.randint(1, 3)

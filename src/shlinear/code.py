@@ -4,7 +4,7 @@ A LinearCode always carries both a full-rank generator matrix and a
 full-rank parity-check matrix, kept consistent (gen @ pchk^T = 0). Minimum
 distance is computed two independent ways on purpose:
 
-  * min_distance enumerates all q^k codewords and takes the minimum weight;
+  * min_distance walks all q^k codewords and takes the minimum weight;
   * distance_at_least(d) checks that every subset of <= d-1 parity-check
     columns is linearly independent (and produces a dependent witness
     subset when not).
@@ -20,12 +20,24 @@ linalg.EchelonStack. No proper prefix of a size-s subset can be dependent,
 since it is a smaller subset and every smaller subset passed already, so
 each subset costs one reduction of its smallest column against the s-1
 columns on the stack.
+
+codewords and min_distance share one walk over the q^k codewords, packed
+as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
+digits; digit i*m + j is the coefficient of alpha^j in its entry for row i.
+The walk is the p-ary modular Gray code on these digits (Knuth, TAOCP 4A,
+7.2.1.1): step t adds 1 mod p to the digit numbered by the count of
+trailing zero base-p digits of t, which adds alpha^j * row_i =
+PackedSpace.multiples(row_i)[p^j - 1] to the word, and meets every message
+once. For q = 2 it is the binary reflected Gray code, row 0 flipping most
+often. The walk over the low half of the digits is kept as a list, and
+each step over the high half streams that list once, shifted by the step's
+word, with the addition inlined.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
@@ -111,90 +123,72 @@ class LinearCode:
         return f"LinearCode(q={self.ctx.q}, {self.params()})"
 
 
+def _basis_and_kernel(M: FqMatrix) -> Tuple[FqMatrix, FqMatrix]:
+    """The first-seen independent rows of M, and a basis of its kernel."""
+    return (FqMatrix.from_row_vectors(linalg.extract_basis(M.row_vectors()), M.ctx, M.cols),
+            FqMatrix.from_row_vectors(linalg.kernel_basis(M), M.ctx, M.cols))
+
+
 def from_parity_check(H: FqMatrix) -> LinearCode:
     """Code {x : H x^T = 0}. Rank-deficient rows of H are dropped, so the
     stored parity check always has full row rank."""
-    ctx = H.ctx
-    independent = linalg.extract_basis(H.row_vectors())
-    if independent:
-        pchk = FqMatrix.from_row_vectors(independent)
-    else:
-        pchk = FqMatrix(ctx, 0, H.cols, ())
-    gen_rows = linalg.kernel_basis(H)
-    if gen_rows:
-        gen = FqMatrix.from_row_vectors(gen_rows)
-    else:
-        gen = FqMatrix(ctx, 0, H.cols, ())
-    return LinearCode(ctx, gen, pchk)
+    pchk, gen = _basis_and_kernel(H)
+    return LinearCode(H.ctx, gen, pchk)
 
 
 def from_generator(G: FqMatrix) -> LinearCode:
     """Code {x G : x in F_q^k}. Rank-deficient rows of G are dropped."""
-    ctx = G.ctx
-    independent = linalg.extract_basis(G.row_vectors())
-    if independent:
-        gen = FqMatrix.from_row_vectors(independent)
-    else:
-        gen = FqMatrix(ctx, 0, G.cols, ())
-    pchk_rows = linalg.kernel_basis(G)
-    if pchk_rows:
-        pchk = FqMatrix.from_row_vectors(pchk_rows)
-    else:
-        pchk = FqMatrix(ctx, 0, G.cols, ())
-    return LinearCode(ctx, gen, pchk)
+    gen, pchk = _basis_and_kernel(G)
+    return LinearCode(G.ctx, gen, pchk)
 
 
 # ---------------------------------------------------------------------------
 # codeword enumeration
 # ---------------------------------------------------------------------------
 
+def _ruler(p: int, count: int) -> Iterator[int]:
+    """For t = 1, ..., count - 1, the number of trailing zero base-p digits
+    of t: the digit that step t of the Gray walk changes."""
+    for t in range(1, count):
+        digit = 0
+        while not t % p:
+            t //= p
+            digit += 1
+        yield digit
+
+
+def _words(code: LinearCode, space: linalg.PackedSpace) -> Iterator[int]:
+    """All q^k codewords packed in space, zero first, along the Gray walk of
+    the module docstring."""
+    p, m = code.ctx.p, code.ctx.m
+    steps = [space.multiples(space.pack(row))[p ** j - 1]
+             for row in code.gen.entries for j in range(m)]
+    half = len(steps) // 2
+    low = [0]
+    for digit in _ruler(p, p ** half):
+        low.append(space.add(low[-1], steps[digit]))
+    yield from low
+    start = 0
+    for digit in _ruler(p, p ** (len(steps) - half)):
+        start = space.add(space.add(start, low[-1]), steps[half + digit])
+        yield from space.add_all([start], low)
+
+
 def codewords(code: LinearCode) -> Iterator[FqVector]:
-    """All q^k codewords, zero word first. Gray-code row additions for q = 2,
-    incremental mixed-radix counter otherwise."""
-    ctx = code.ctx
-    n, k = code.n, code.k
-    if k == 0:
-        yield linalg.zero_vector(ctx, n)
-        return
-    if ctx.q == 2:
-        space = linalg.PackedSpace(ctx, n)
-        rows = [space.pack(r) for r in code.gen.entries]
-        word = 0
-        yield FqVector(ctx, space.unpack(word))
-        for msg in range(1, 2 ** k):
-            word ^= rows[(msg & -msg).bit_length() - 1]
-            yield FqVector(ctx, space.unpack(word))
-        return
-    add, mul = ctx._add, ctx._mul
-    rows = [list(r) for r in code.gen.entries]
-    counter = [0] * k
-    current = [0] * n
-    yield FqVector(ctx, tuple(current))
-    total = ctx.q ** k
-    for _ in range(total - 1):
-        # odometer step; each changed digit contributes (new - old) * row
-        i = k - 1
-        while counter[i] == ctx.q - 1:
-            delta = ctx.sub(0, counter[i])
-            counter[i] = 0
-            row = rows[i]
-            for j in range(n):
-                if row[j]:
-                    current[j] = add[current[j]][mul[delta][row[j]]]
-            i -= 1
-        old = counter[i]
-        counter[i] += 1
-        delta = ctx.sub(counter[i], old)
-        row = rows[i]
-        for j in range(n):
-            if row[j]:
-                current[j] = add[current[j]][mul[delta][row[j]]]
-        yield FqVector(ctx, tuple(current))
+    """All q^k codewords, zero word first, in the order of the Gray walk of
+    the module docstring; for q = 2 that is the binary reflected Gray code,
+    row 0 flipping most often."""
+    space = linalg.PackedSpace(code.ctx, code.n)
+    return (FqVector(code.ctx, space.unpack(x)) for x in _words(code, space))
 
 
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
-    """Exact minimum distance by full codeword enumeration; caches into
-    d_known. Raises BudgetExceededError when q^k > budget."""
+    """Exact minimum distance: the least weight over the Gray walk of the
+    module docstring, each packed word weighed by the rule of
+    PackedSpace.far and the walk stopped at weight 1; caches into d_known.
+    Raises BudgetExceededError when q^k > budget, and
+    PreconditionViolatedError when a nonzero message encodes to the zero
+    word (dependent generator rows)."""
     if code.d_known is not None:
         return code.d_known
     if code.k == 0:
@@ -205,29 +199,17 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
             f"q^k = {code.ctx.q}^{code.k} exceeds budget {budget}; "
             "use distance_at_least instead"
         )
-    best: Optional[int] = None
-    if code.ctx.q == 2:
-        space = linalg.PackedSpace(code.ctx, code.n)
-        rows = [space.pack(r) for r in code.gen.entries]
-        word = 0
-        for msg in range(1, 2 ** code.k):
-            word ^= rows[(msg & -msg).bit_length() - 1]
-            w = word.bit_count()
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    break
-    else:
-        first = True
-        for cw in codewords(code):
-            if first:
-                first = False
-                continue
-            w = hamming_weight(cw)
-            if best is None or w < best:
-                best = w
-                if best == 1:
-                    break
+    space = linalg.PackedSpace(code.ctx, code.n)
+    low, high = space.low, space.high
+    words = _words(code, space)
+    next(words)  # the zero word
+    best = code.n
+    for x in words:
+        w = (((x & low) + low | x) & high).bit_count()
+        if w < best:
+            best = w
+            if best <= 1:
+                break
     if not best:  # a nonzero message encoded to the zero word
         raise PreconditionViolatedError("the generator rows are linearly dependent")
     code.d_known = best

@@ -1,15 +1,19 @@
 """Dense exact linear algebra over small finite fields.
 
 Vectors and matrices are immutable value types holding element codes (ints)
-plus their FieldCtx. Everything here is plain Gauss-Jordan elimination; the
-dimensions this package works at (r <= ~20, q <= 256) never justify more.
+plus their FieldCtx. rref, rank, kernel_basis, in_span and the other whole-
+matrix questions run plain Gauss-Jordan elimination on coordinate lists
+(_gauss_jordan); the dimensions this package works at (r <= ~20, q <= 256)
+never justify more. It is kept apart from the packed kernel below on
+purpose, as the independent reference the tests check EchelonStack against.
 
 PackedSpace holds vectors of any F_q^r as ints with packed addition,
 scalar multiples and a Hamming-distance filter; the combination kernel of
-shset and the code enumeration of bounds share it. EchelonStack is the one
-incremental elimination on it, an echelon basis with push and pop: the
-span stabilizer of the exact search, code.distance_at_least and
-shset.check_2h_subsets_independent all push packed vectors onto it.
+shset, the code enumeration of bounds and the codeword walk of code share
+it. EchelonStack is the one incremental elimination on it, an echelon basis
+with push and pop: the span stabilizer of the exact search,
+code.distance_at_least, shset.check_2h_subsets_independent and
+extract_basis all push packed vectors onto it.
 """
 
 from __future__ import annotations
@@ -304,25 +308,8 @@ def extract_basis(vectors: Sequence[FqVector]) -> List[FqVector]:
     keeping a vector iff it increases the rank (first-seen wins)."""
     if not vectors:
         return []
-    ctx, dim = _common_frame(vectors)
-    sub, mul, inv = ctx.sub, ctx._mul, ctx._inv
-    reduced: List[Tuple[int, List[int]]] = []  # (pivot_col, normalized row)
-    basis: List[FqVector] = []
-    for v in vectors:
-        row = list(v.coords)
-        for pc, red in reduced:
-            if row[pc]:
-                f = row[pc]
-                row = [sub(x, mul[f][y]) for x, y in zip(row, red)]
-        pivot = next((c for c in range(dim) if row[c]), None)
-        if pivot is None:
-            continue
-        iv = inv[row[pivot]]
-        if iv != 1:
-            row = [mul[iv][x] for x in row]
-        reduced.append((pivot, row))
-        basis.append(v)
-    return basis
+    stack = EchelonStack(*_common_frame(vectors))
+    return [v for v in vectors if stack.push(stack.pack(v.coords))]
 
 
 def span_size(vectors: Sequence[FqVector]) -> int:
@@ -359,19 +346,23 @@ class PackedSpace:
         width = 1 if p == 2 else p.bit_length() + 1
         self._cw = width * m  # bits per coordinate
         self._cmask = (1 << self._cw) - 1
-        # packed form of each element code, and back
-        self._field = [
-            sum((a // p ** j % p) << (j * width) for j in range(m)) for a in range(ctx.q)
-        ]
+        # packed form of each element code, base-p digit j at bit j * width,
+        # and back
+        self._field = [0]
+        for j in range(m):
+            self._field = [f + (d << (j * width)) for d in range(p) for f in self._field]
         self._elem = {f: a for a, f in enumerate(self._field)}
         self._shifts = [self._cw * (r - 1 - i) for i in range(r)]
         self._p, self._top = p, width - 1
+        # a 1 at the lowest bit of every field, and of every coordinate
+        fields = ((1 << (width * r * m)) - 1) // ((1 << width) - 1)
+        coords = ((1 << (self._cw * r)) - 1) // self._cmask
         # per field: the bias that carries a digit >= p into the top bit
-        self._bias = sum(((1 << self._top) - p) << (k * width) for k in range(r * m))
-        self._tops = sum(1 << (k * width + self._top) for k in range(r * m))
+        self._bias = fields * ((1 << self._top) - p)
+        self._tops = fields << self._top
         # per coordinate: every bit but the top one, and the top one
-        self.low = sum(((1 << (self._cw - 1)) - 1) << s for s in self._shifts)
-        self.high = sum(1 << (s + self._cw - 1) for s in self._shifts)
+        self.low = coords * (self._cmask >> 1)
+        self.high = coords << (self._cw - 1)
 
     def pack(self, coords: Sequence[int]) -> int:
         v, cw, field = 0, self._cw, self._field

@@ -9,6 +9,7 @@ import pytest
 
 import shlinear
 from shlinear import bounds, cli, fileio, fixtures, shset
+from shlinear import code as code_mod
 
 
 def run(capsys, *argv):
@@ -235,6 +236,21 @@ def test_selftest_checks_f4_certificates(capsys, monkeypatch):
     assert "certificate_oracle_agreement: FAIL" in out
 
 
+def test_selftest_checks_f4_distances(capsys, monkeypatch):
+    """The distance cross-validation covers F_4 (p = 2, m = 2 packing): a
+    wrong minimum distance there alone makes selftest fail."""
+    min_distance = code_mod.min_distance
+
+    def wrong_over_f4(built, *args):
+        d = min_distance(built, *args)
+        return d + 1 if built.ctx.q == 4 else d
+
+    monkeypatch.setattr(code_mod, "min_distance", wrong_over_f4)
+    code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
+    assert code == 1
+    assert "distance_cross_validation: FAIL" in out
+
+
 @pytest.mark.parametrize("argv", [
     ["search-max", "--q", "2", "--r", "3", "--h", "0"],
     ["bounds", "vbar", "--q", "2", "--h", "3", "--n", "5"],
@@ -257,6 +273,12 @@ def test_selftest_checks_f4_certificates(capsys, monkeypatch):
     ["to-code", "--set", fx(fixtures.SET_F2_R10), "--h", "3", "--out", DATA_DIR],
     ["extend", "--set", fx(fixtures.SET_F3_R3), "--h", "2", "--out", DATA_DIR],
     ["search-max", "--q", "2", "--r", "3", "--h", "2", "--out", DATA_DIR],
+    ["search-max", "--q", "4", "--r", "2", "--h", "2", "--poly", "1,x,1"],
+    # a field order that is not a prime power
+    ["bounds", "table", "--q", "6"],
+    ["bounds", "table", "--q", "1"],
+    ["bounds", "table", "--q", "6", "--mode", "vbar", "--h", "2"],
+    ["bounds", "vbar", "--q", "6", "--h", "2", "--n", "7"],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -265,6 +287,10 @@ def test_bad_parameters_exit_2(capsys, argv):
     assert err.startswith("error: ")
     if "--budget" in argv:
         assert "--budget" in err
+    elif "--poly" in argv:
+        assert "--poly" in err
+    elif argv[0] == "bounds" and argv[argv.index("--q") + 1] in ("1", "6"):
+        assert "field order must be >= 2" in err or "6 is not a prime power" in err
     elif argv[0] == "bounds":
         assert "h=" in err
 

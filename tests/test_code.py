@@ -69,19 +69,42 @@ def test_min_distance_rejects_dependent_generator_rows(q):
         sl.min_distance(code_mod.LinearCode(ctx, gen, pchk))
 
 
-def test_codeword_stream_matches_naive_multiplication(f5_code):
-    naive = set()
-    ctx = f5_code.ctx
-    gen_rows = [list(r) for r in f5_code.gen.entries]
-    for msg in itertools.product(range(5), repeat=f5_code.k):
-        word = [0] * f5_code.n
-        for c, row in zip(msg, gen_rows):
-            if c:
-                for j in range(f5_code.n):
+# every q up to 9, and F_9, F_8 under x^2 + 2x + 2 and x^3 + x^2 + 1
+FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9)] + [(9, (2, 2, 1)), (8, (1, 0, 1, 1))]
+
+
+def test_codeword_stream_matches_naive_multiplication(f5_code, f2_code_14):
+    rng = random.Random(23)
+    codes = [f5_code, f2_code_14]
+    for q, modulus in FIELDS:
+        ctx = sl.field_of_order(q, modulus)
+        for k in (1, 2, 3):
+            rows = [[rng.randrange(q) for _ in range(5)] for _ in range(k)]
+            codes.append(sl.from_generator(linalg.FqMatrix.from_rows(ctx, rows)))
+    for code in codes:
+        ctx, n = code.ctx, code.n
+        naive = set()
+        for msg in itertools.product(range(ctx.q), repeat=code.k):
+            word = [0] * n
+            for c, row in zip(msg, code.gen.entries):
+                for j in range(n):
                     word[j] = ctx.add(word[j], ctx.mul(c, row[j]))
-        naive.add(tuple(word))
-    streamed = {w.coords for w in sl.codewords(f5_code)}
-    assert streamed == naive
+            naive.add(tuple(word))
+        streamed = [w.coords for w in sl.codewords(code)]
+        assert streamed[0] == (0,) * n, code
+        assert len(streamed) == len(set(streamed)) == ctx.q ** code.k, code
+        assert set(streamed) == naive, code
+    # over F_2 the walk is the binary reflected Gray code, row i flipping
+    # with bit i of t ^ (t >> 1)
+    rows = [int("".join(map(str, r)), 2) for r in f2_code_14.gen.entries]
+    gray = []
+    for t in range(2 ** f2_code_14.k):
+        g, word = t ^ (t >> 1), 0
+        for i, row in enumerate(rows):
+            if g >> i & 1:
+                word ^= row
+        gray.append(tuple(map(int, format(word, f"0{f2_code_14.n}b"))))
+    assert [w.coords for w in sl.codewords(f2_code_14)] == gray
 
 
 def test_distance_at_least_on_distance5_code(f2_code_14):
@@ -101,7 +124,7 @@ def test_zero_column_fails_distance_two(f3):
     assert not ok and witness == (1,)
 
 
-@pytest.mark.parametrize("q", [2, 3, 5])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_distance_algorithms_cross_validate(q):
     ctx = sl.field_of_order(q)
     rng = random.Random(q * 17)
@@ -203,9 +226,11 @@ def test_distance_walk_pushes_only_independent_prefixes(q, monkeypatch):
         pushes.append(push(self, x))
         return pushes[-1]
 
+    # built first: building a code keeps the first-seen independent rows
+    # with pushes that are allowed to fail
+    codes = list(random_parity_checks(q, random.Random(2000 + q)))
     monkeypatch.setattr(linalg.EchelonStack, "push", recording_push)
-    rng = random.Random(2000 + q)
-    for code in random_parity_checks(q, rng):
+    for code in codes:
         for d in range(1, code.n + 3):
             sl.distance_at_least(code, d)
     assert pushes and all(pushes)

@@ -181,6 +181,28 @@ def test_extract_basis_empty_and_duplicates(f2):
     assert linalg.extract_basis([v, v, vec(f2, 0, 1)]) == [v, vec(f2, 0, 1)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_extract_basis_keeps_first_seen_rank_increases(q):
+    """extract_basis keeps a vector exactly when it raises the Gauss-Jordan
+    rank of the vectors kept before it, with zero, parallel and repeated
+    vectors among the input."""
+    ctx = sl.field_of_order(q)
+    rng = random.Random(60 + q)
+    for _ in range(12):
+        r = rng.randint(1, 5)
+        vectors = [linalg.FqVector(ctx, tuple(rng.randrange(q) for _ in range(r)))
+                   for _ in range(rng.randint(1, 7))]
+        vectors.insert(rng.randrange(len(vectors) + 1), linalg.zero_vector(ctx, r))
+        vectors.append(vectors[rng.randrange(len(vectors))].scale(rng.randrange(1, q)))
+        vectors.append(vectors[rng.randrange(len(vectors))])
+        kept = []
+        for v in vectors:
+            if linalg.rank(linalg.FqMatrix.from_row_vectors(kept + [v])) > len(kept):
+                kept.append(v)
+        basis = linalg.extract_basis(vectors)
+        assert len(basis) == len(kept) and all(b is v for b, v in zip(basis, kept))
+
+
 def test_dimension_mismatch_raises(f2, f3):
     with pytest.raises(DimensionMismatchError):
         linalg.is_linearly_independent([vec(f2, 1, 0), vec(f2, 1, 0, 1)])
