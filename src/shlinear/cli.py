@@ -19,7 +19,7 @@ from typing import List, Optional
 from . import bounds as bounds_mod
 from . import code as code_mod
 from . import correspond, fileio, fixtures, shset
-from .errors import NotShLinearError, ShlinearError, UsageError
+from .errors import InvalidParameterError, NotShLinearError, ShlinearError, UsageError
 from .gf import field_of_order
 from .linalg import FqMatrix, decode_vector
 
@@ -29,6 +29,17 @@ def _check_input(path: str) -> None:
         raise UsageError(f"input file not found: {path}")
     if not Path(path).is_file():
         raise UsageError(f"input is not a regular file: {path}")
+
+
+def _option_range(args, name: str, least: Optional[int] = None) -> range:
+    """range(--NAME-min, --NAME-max + 1), refused when it is empty or starts
+    below least."""
+    lo, hi = getattr(args, f"{name}_min"), getattr(args, f"{name}_max")
+    if least is not None and lo < least:
+        raise InvalidParameterError(f"--{name}-min must be >= {least}, got {lo}")
+    if lo > hi:
+        raise InvalidParameterError(f"--{name}-min {lo} is above --{name}-max {hi}: the range is empty")
+    return range(lo, hi + 1)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -294,14 +305,12 @@ def _cmd_bounds(args) -> int:
     if args.bounds_command == "table":
         if args.mode == "sh":
             text = bounds_mod.emit_sh_table(
-                entries, args.q, range(args.h_min, args.h_max + 1), range(args.r_min, args.r_max + 1)
+                entries, args.q, _option_range(args, "h"), _option_range(args, "r", 1)
             )
         else:
             if args.h is None:
                 raise UsageError("--mode vbar requires --h")
-            text = bounds_mod.emit_vbar_series(
-                entries, args.q, args.h, range(args.n_min, args.n_max + 1)
-            )
+            text = bounds_mod.emit_vbar_series(entries, args.q, args.h, _option_range(args, "n", 1))
             values = [
                 None if row.split(",")[1] == "X" else int(row.split(",")[1])
                 for row in text.strip().splitlines()[1:]
@@ -320,6 +329,8 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """Quick randomized property checks; --seed pins the generator."""
+    if args.trials < 1:
+        raise UsageError(f"--trials must be >= 1, got {args.trials}")
     rng = random.Random(args.seed)
     failures = []
 

@@ -15,11 +15,17 @@ distance_at_least walks the column subsets of each size s = 1..d-1 depth
 first, choosing the largest column first and counting up at each level, so
 the subsets come in colex order and the witness is the colex-first
 dependent subset of the smallest dependent size. The columns are packed
-once (linalg.PackedSpace), and the chosen ones are kept on a
-linalg.EchelonStack. No proper prefix of a size-s subset can be dependent,
-since it is a smaller subset and every smaller subset passed already, so
-each subset costs one reduction of its smallest column against the s-1
-columns on the stack.
+once (linalg.PackedSpace). No proper prefix of a size-s subset can be
+dependent, since it is a smaller subset and every smaller subset passed
+already, so each node of the walk carries the residues of the columns
+below its smallest chosen column modulo the span of the chosen ones, all
+nonzero. Choosing one of them as the next column makes it a pivot
+(PackedSpace.pivot), and the child's residues are the ones below it with
+the pivot's leading coordinate cleared (PackedSpace.clear). On the last
+level two residues are dependent exactly when they are parallel, so the
+whole level is one test for a repeated line. Each distinct residue's pivot
+is built once per call: the size-(s+1) pass meets every residue the
+size-s pass met.
 
 codewords and min_distance share one walk over the q^k codewords, packed
 as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
@@ -36,8 +42,9 @@ word, with the addition inlined.
 
 from __future__ import annotations
 
+import functools
 import math
-from typing import Iterator, List, Optional, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
@@ -217,20 +224,28 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
 
 
 def _first_dependent(
-    stack: linalg.EchelonStack, cols: List[int], size: int, below: int
+    space: linalg.PackedSpace,
+    pivot: Callable[[int], Tuple[int, Tuple[int, ...]]],
+    residues: List[int],
+    size: int,
 ) -> Optional[Tuple[int, ...]]:
-    """The colex-first `size` of the packed columns cols[:below] that are
-    dependent together with the columns on the stack: the largest column is
-    chosen first, and each level counts up."""
-    if size == 1:
-        # an equal earlier column is in the span too, so the first in-span
-        # value sits at its first index
-        leaf = next(filter(stack.in_span, cols[:below]), None)
-        return None if leaf is None else (cols.index(leaf),)
-    for top in range(size - 1, below):
-        stack.push(cols[top])
-        rest = _first_dependent(stack, cols, size - 1, top)
-        stack.pop()
+    """The colex-first `size` indices whose residues are dependent: the
+    largest index is chosen first, and each level counts up. Every smaller
+    set is independent, so every residue is nonzero and each chosen one is a
+    pivot, whose child list is the residues below it with the pivot's
+    leading coordinate cleared."""
+    if size == 2:
+        # two nonzero residues are dependent when they span one line; the
+        # multiple of y that clears a 1 at y's leading coordinate is the
+        # same for every nonzero multiple of y, so it names that line
+        lines = [pivot(y)[1][1] for y in residues]
+        if len(set(lines)) == len(lines):
+            return None
+        top = next(t for t, line in enumerate(lines) if line in lines[:t])
+        return lines.index(lines[top]), top
+    for top in range(size - 1, len(residues)):
+        below = space.clear(residues[:top], pivot(residues[top]))
+        rest = _first_dependent(space, pivot, below, size - 1)
         if rest is not None:
             return rest + (top,)
     return None
@@ -250,10 +265,13 @@ def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[in
         if d == 1:
             return True, None
         return False, (0,)
-    stack = linalg.EchelonStack(code.ctx, code.pchk.rows)
-    cols = [stack.pack(c) for c in zip(*code.pchk.entries)]
-    for size in range(1, min(d, code.n + 1)):
-        witness = _first_dependent(stack, cols, size, code.n)
+    space = linalg.PackedSpace(code.ctx, code.pchk.rows)
+    cols = [space.pack(c) for c in zip(*code.pchk.entries)]
+    if 0 in cols and d > 1:
+        return False, (cols.index(0),)
+    pivot = functools.cache(space.pivot)
+    for size in range(2, min(d, code.n + 1)):
+        witness = _first_dependent(space, pivot, cols, size)
         if witness is not None:
             return False, witness
     code.d_lower = max(code.d_lower, d)

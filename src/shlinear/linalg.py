@@ -10,10 +10,13 @@ purpose, as the independent reference the tests check EchelonStack against.
 PackedSpace holds vectors of any F_q^r as ints with packed addition,
 scalar multiples and a Hamming-distance filter; the combination kernel of
 shset, the code enumeration of bounds and the codeword walk of code share
-it. EchelonStack is the one incremental elimination on it, an echelon basis
-with push and pop: the span stabilizer of the exact search,
-code.distance_at_least, shset.check_2h_subsets_independent and
-extract_basis all push packed vectors onto it.
+it. Its pivot() builds the one elimination step, the multiples of a vector
+that clear each value of its leading coordinate, and clear() applies one
+to a list. EchelonStack, an echelon basis of such pivots with push and
+pop, is the incremental elimination of the span stabilizer of the exact
+search, shset.check_2h_subsets_independent and extract_basis;
+code.distance_at_least clears whole lists of column residues with the
+pivots directly.
 """
 
 from __future__ import annotations
@@ -414,6 +417,29 @@ class PackedSpace:
                 out.append(self.add(out[-step], base))
         return out[1:]
 
+    def pivot(self, x: int) -> Tuple[int, Tuple[int, ...]]:
+        """(shift, cancel) of a nonzero x: its leading coordinate sits at
+        bit shift, and adding cancel[b], a multiple of x, to a vector whose
+        coordinate there is the element b clears it (cancel[0] = 0)."""
+        shift = (x.bit_length() - 1) // self._cw * self._cw
+        mul, neg = self.ctx._mul, self.ctx._neg
+        lead = self._elem[x >> shift]
+        cancel = [0] * self.q
+        for c, cx in enumerate(self.multiples(x), 1):
+            cancel[neg[mul[c][lead]]] = cx
+        return shift, tuple(cancel)
+
+    def clear(self, xs: Iterable[int], pivot: Tuple[int, Tuple[int, ...]]) -> List[int]:
+        """Each of xs plus the multiple of pivot's vector that clears its
+        coordinate at the pivot's shift."""
+        shift, cancel = pivot
+        cmask = self._cmask
+        if self._p == 2:  # a packed coordinate is its element's code
+            return [x ^ cancel[(x >> shift) & cmask] for x in xs]
+        p, bias, tops, top, elem = self._p, self._bias, self._tops, self._top, self._elem
+        return [s - (((s + bias) & tops) >> top) * p
+                for x in xs for s in (x + cancel[elem[(x >> shift) & cmask]],)]
+
     def far(self, rows: Sequence[int], words: Iterable[int], d: int) -> List[int]:
         """The rows at Hamming distance >= d from every word, in order: one
         shrinking list per word."""
@@ -425,10 +451,9 @@ class PackedSpace:
 
 class EchelonStack(PackedSpace):
     """Echelon basis of a stack of packed vectors of F_q^r, with push and
-    pop. Each row is a pushed vector reduced by the rows below it, kept as
-    (shift, cancel): its leading coordinate sits at bit shift, and adding
-    cancel[c] clears a packed coordinate c there. A span test is one pass
-    over the rows, and pop is a truncation."""
+    pop. Each row is the pivot (see PackedSpace.pivot) of a pushed vector
+    reduced by the rows below it. A span test is one pass over the rows,
+    and pop is a truncation."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         super().__init__(ctx, r)
@@ -437,11 +462,11 @@ class EchelonStack(PackedSpace):
 
     def reduce(self, x: int) -> int:
         """x minus its projection on the rows: 0 exactly when x is in the span."""
-        cmask, add = self._cmask, self.add
+        cmask, add, elem = self._cmask, self.add, self._elem
         for shift, cancel in self._rows:
             c = (x >> shift) & cmask
             if c:
-                x = add(x, cancel[c])
+                x = add(x, cancel[elem[c]])
         return x
 
     def in_span(self, x: int) -> bool:
@@ -454,12 +479,7 @@ class EchelonStack(PackedSpace):
         residue = self.reduce(x)
         if not residue:
             return False
-        shift = (residue.bit_length() - 1) // self._cw * self._cw
-        ctx = self.ctx
-        inv = ctx._inv[self._elem[residue >> shift]]
-        multiples = self.multiples(residue)
-        cancel = {self._field[c]: multiples[ctx._mul[ctx._neg[c]][inv] - 1] for c in range(1, self.q)}
-        self._rows.append((shift, cancel))
+        self._rows.append(self.pivot(residue))
         return True
 
     def pop(self) -> None:

@@ -279,6 +279,15 @@ def test_selftest_checks_f4_distances(capsys, monkeypatch):
     ["bounds", "table", "--q", "1"],
     ["bounds", "table", "--q", "6", "--mode", "vbar", "--h", "2"],
     ["bounds", "vbar", "--q", "6", "--h", "2", "--n", "7"],
+    # no check to run
+    ["selftest", "--trials", "0"],
+    ["selftest", "--trials", "-1"],
+    # an empty range, or r or n below 1: the offending option comes last
+    ["bounds", "table", "--q", "2", "--r-max", "3", "--r-min", "5"],
+    ["bounds", "table", "--q", "2", "--h-max", "2", "--h-min", "4"],
+    ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "2", "--n-max", "5", "--n-min", "9"],
+    ["bounds", "table", "--q", "2", "--r-min", "0"],
+    ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "2", "--n-min", "0"],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -289,6 +298,10 @@ def test_bad_parameters_exit_2(capsys, argv):
         assert "--budget" in err
     elif "--poly" in argv:
         assert "--poly" in err
+    elif "--trials" in argv:
+        assert "--trials" in err
+    elif argv[-2] in ("--r-min", "--h-min", "--n-min"):
+        assert argv[-2] in err
     elif argv[0] == "bounds" and argv[argv.index("--q") + 1] in ("1", "6"):
         assert "field order must be >= 2" in err or "6 is not a prime power" in err
     elif argv[0] == "bounds":

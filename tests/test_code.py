@@ -217,23 +217,59 @@ def test_distance_witness_is_pinned(name, d, witness):
     assert code.d_lower == d
 
 
+def recorded_pivots(monkeypatch) -> list:
+    """The vectors PackedSpace.pivot is asked for from now on, in order."""
+    pivots = []
+    pivot = linalg.PackedSpace.pivot
+
+    def recording_pivot(self, x):
+        pivots.append(x)
+        return pivot(self, x)
+
+    monkeypatch.setattr(linalg.PackedSpace, "pivot", recording_pivot)
+    return pivots
+
+
 @pytest.mark.parametrize("q", [2, 3, 5])
 def test_distance_walk_pushes_only_independent_prefixes(q, monkeypatch):
-    pushes = []
-    push = linalg.EchelonStack.push
-
-    def recording_push(self, x):
-        pushes.append(push(self, x))
-        return pushes[-1]
-
-    # built first: building a code keeps the first-seen independent rows
-    # with pushes that are allowed to fail
+    # built first: building a code takes pivots of its own rows
     codes = list(random_parity_checks(q, random.Random(2000 + q)))
-    monkeypatch.setattr(linalg.EchelonStack, "push", recording_push)
+    pivots = recorded_pivots(monkeypatch)
     for code in codes:
         for d in range(1, code.n + 3):
             sl.distance_at_least(code, d)
-    assert pushes and all(pushes)
+    # a chosen column extends an independent prefix exactly when its
+    # residue modulo the prefix is nonzero
+    assert pivots and all(pivots)
+
+
+def parity_check_24x12():
+    """A random full-rank binary 12 x 24 parity check whose first smallest
+    dependent column set ends far from column 0."""
+    rng = random.Random(23)
+    rows = [[rng.randrange(2) for _ in range(24)] for _ in range(12)]
+    return linalg.FqMatrix.from_rows(sl.field_of_order(2), rows)
+
+
+@pytest.mark.parametrize("matrix, witness", [
+    (lambda: fixtures.load_fixture_matrix(fixtures.PARITY_F5_8X12), (0, 2, 3, 4, 5, 7, 8)),
+    (lambda: fixtures.load_fixture_matrix(fixtures.PARITY_F2_8X14), (0, 2, 3, 4, 8)),
+    (lambda: fixtures.load_fixture_matrix(fixtures.PARITY_F2_8X8), (0, 1, 2, 5, 6)),
+    (parity_check_24x12, (6, 13, 14, 16)),
+], ids=["F5_8x12", "F2_8x14", "F2_8x8", "F2_12x24"])
+def test_distance_walk_stops_at_the_smallest_dependent_size(matrix, witness, monkeypatch):
+    """The passes go up in size and stop at the first dependent one, so for
+    every target beyond it the walk builds the same pivots."""
+    code = sl.from_parity_check(matrix())
+    s = len(witness)
+    assert sl.distance_at_least(code, s) == (True, None)
+    pivots = recorded_pivots(monkeypatch)
+    counts = set()
+    for d in range(s + 1, code.n + 3):
+        del pivots[:]
+        assert sl.distance_at_least(code, d) == (False, witness)
+        counts.add(len(pivots))
+    assert len(counts) == 1 and counts.pop() > 0
 
 
 @pytest.mark.parametrize("d", [0, -3])
