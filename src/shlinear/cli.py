@@ -98,7 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--h", dest="h", type=int, required=True)
     p.add_argument("--poly", default=None, help="modulus override c0,c1,...,cm")
-    p.add_argument("--contains-zero", action="store_true", help="restrict to sets containing 0")
+    p.add_argument(
+        "--contains-zero", action="store_true",
+        help="accepted and changes nothing: every maximum the search returns contains 0",
+    )
     p.add_argument("--mode", choices=("linear", "plain"), default="linear")
     p.add_argument("--out", default=None)
     _add_common(p)
@@ -186,6 +189,8 @@ def _load_code(matrix_path: str, role: str) -> code_mod.LinearCode:
 
 
 def _cmd_mindist(args) -> int:
+    if args.budget < 1:
+        raise UsageError(f"--budget must be >= 1, got {args.budget}")
     _check_input(args.matrix)
     built = _load_code(args.matrix, args.role)
     if args.at_least is not None:
@@ -263,9 +268,7 @@ def _cmd_search_max(args) -> int:
         except ValueError:
             raise UsageError(f"--poly must be integers c0,c1,...,cm, got {args.poly!r}") from None
     ctx = field_of_order(args.q, modulus)
-    size, witness = shset.exhaustive_max_sh_set(
-        ctx, args.r, args.h, must_contain_zero=args.contains_zero, mode=args.mode
-    )
+    size, witness = shset.exhaustive_max_sh_set(ctx, args.r, args.h, mode=args.mode)
     if witness is not None and args.out:  # before the report, as in extend
         fileio.save_set(args.out, witness)
     print(f"max={size}")

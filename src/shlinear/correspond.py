@@ -12,7 +12,11 @@ The converse construction is verified rather than assumed: for q = 2 a set
 that avoids the zero vector can carry an odd-size linear dependency that no
 h-combination collision rules out (e.g. {e1, e2, e1+e2, e3, e4} in F_2^4 is
 S_2-linear but three of its elements sum to zero), in which case the built
-code misses the distance target and DistanceTooSmallError is raised.
+code misses the distance target and DistanceTooSmallError is raised. For
+q >= 3 that branch cannot fire: by the zero lemma (see
+shset.exhaustive_max_sh_set) a zero-free S_h-linear set of at least h
+elements stays S_h-linear with 0 added, and the 2h or more nonzero
+elements of an S_h-linear set holding 0 always give a code with d >= 2h+1.
 """
 
 from __future__ import annotations

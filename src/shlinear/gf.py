@@ -24,16 +24,6 @@ from .errors import (
 
 MAX_ORDER = 256
 
-# Fixed default moduli for the small extension fields, coefficient order
-# c_0..c_m (constant term first). Pinned so element encodings are stable
-# across runs; anything larger falls back to the lexicographically smallest
-# irreducible.
-DEFAULT_MODULI = {
-    (2, 2): (1, 1, 1),      # x^2 + x + 1
-    (2, 3): (1, 1, 0, 1),   # x^3 + x + 1
-    (3, 2): (1, 0, 1),      # x^2 + 1
-}
-
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -150,11 +140,14 @@ def find_irreducible(p: int, m: int) -> Tuple[int, ...]:
     )  # unreachable for valid (p, m)
 
 
+@lru_cache(maxsize=None)
 def default_modulus(p: int, m: int) -> Optional[Tuple[int, ...]]:
+    """The modulus of F_{p^m} when none is given, coefficients c_0..c_m:
+    the first irreducible find_irreducible meets, so element encodings are
+    stable across runs (x^2 + x + 1 for F_4, x^3 + x + 1 for F_8, x^2 + 1
+    for F_9). None for a prime field."""
     if m == 1:
         return None
-    if (p, m) in DEFAULT_MODULI:
-        return DEFAULT_MODULI[(p, m)]
     return find_irreducible(p, m)
 
 
@@ -259,17 +252,9 @@ class FieldCtx:
             k >>= 1
         return r
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def nonzero_elems(self) -> range:
         """All q-1 nonzero element codes, ascending."""
         return range(1, self.q)
-
-    def validate_elem(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.q:
-            raise ValueError(f"{a!r} is not an element code of {self!r}")
-        return a
 
     # -- identity --
 

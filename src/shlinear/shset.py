@@ -519,32 +519,16 @@ def _first_dependent_lex(
 # exhaustive maximum search
 # ---------------------------------------------------------------------------
 
-def _greedy_scan(engine, candidates: Sequence[int], h: int) -> Tuple[int, List[int]]:
-    """Deterministic greedy baseline in canonical order; leaves the engine
-    reset to its pre-scan state."""
-    kept: List[Tuple[int, set]] = []
-    for x in candidates:
-        fresh = engine.values_of(x)
-        if fresh is not None:
-            engine.push(x, fresh)
-            kept.append((x, fresh))
-    size = len(engine.elems)
-    snapshot = list(engine.elems)
-    for x, fresh in reversed(kept):
-        engine.pop(fresh)
-    if size < h:
-        return 0, []
-    return size, snapshot
-
-
 def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
     """Candidate-list depth-first search: at each node the branch list holds
     only vectors individually compatible with the current set, so
     |set| + |remaining list| bounds every completion. Candidates stay in
     canonical encoding order throughout, and of the candidates outside the
     span of the current set only the first compatible one is branched on:
-    a linear map fixing that span carries any other onto it."""
-    best_size, best = _greedy_scan(engine, candidates, h)
+    a linear map fixing that span carries any other onto it. The first
+    descent pushes the first compatible candidate at every node, so the
+    first maximal set found is the greedy canonical-order one."""
+    best_size, best = 0, []
 
     def dfs(cands: List[int]) -> None:
         nonlocal best_size, best
@@ -577,29 +561,37 @@ def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
 
 
 def exhaustive_max_sh_set(
-    ctx: FieldCtx,
-    r: int,
-    h: int,
-    must_contain_zero: bool = False,
-    mode: str = "linear",
+    ctx: FieldCtx, r: int, h: int, mode: str = "linear"
 ) -> Tuple[int, Optional[ShSetCandidate]]:
     """Exact maximum size of an S_h-linear (or plain S_h) set in F_q^r, with
-    its lexicographically first maximum witness: of all maximum sets (that
-    contain 0, if must_contain_zero), the one whose elements, in canonical
-    encoding order, compare smallest. Elements are listed in that order.
+    its lexicographically first maximum witness: of all maximum sets, the
+    one whose elements, in canonical encoding order, compare smallest.
+    Elements are listed in that order; the first is always 0.
 
     Depth-first search over vectors in canonical encoding order with
-    incremental collision pruning and candidate-list bounding, seeded by a
-    greedy canonical-order baseline. Three symmetries of the S_h property
-    cut the tree; each maps any set it skips onto a valid set of the same
-    size that compares smaller, so the witness is never skipped:
+    incremental collision pruning and candidate-list bounding. Four
+    symmetries of the S_h property cut the tree; each maps any set it skips
+    onto a valid set of at least the same size that compares smaller, so
+    the witness is never skipped:
 
       * translation: for q = 2, or in plain mode, translating a set by t
         moves every h-sum by h*t, so only sets containing 0 are searched;
+      * zero: in linear mode with q >= 3, a zero-free S_h-linear set A with
+        |A| >= h stays S_h-linear when 0 is added, so every maximum
+        contains 0 and the search starts from {0}. Proof: a collision of
+        A u {0} that A lacks gives a dependency sum(d_a * a) = 0 with
+        support D, 2 <= m = |D| <= min(2h-1, |A|). Let alpha =
+        max(0, m-h); build two h-combinations u, v of A with u - v = d by
+        putting alpha elements of D on u's side only, alpha on v's side
+        only, and the other m - 2*alpha on both sides with coefficients x
+        and x - d_a, x not in {0, d_a} (q >= 3), then padding both sides
+        with the same h - m + alpha elements of A outside D (|A| >= h).
+        Then u != v take the same value, a collision in A. For q = 2 this
+        fails: {e1, e2, e1+e2} is S_2-linear, and adding 0 breaks it;
       * scaling: in linear mode with q >= 3, scaling one nonzero element
         keeps the verdict and a set holding a and c*a (c != 1) collides, so
-        the candidates are 0 and the vectors whose leading nonzero
-        coordinate is 1;
+        the candidates are the vectors whose leading nonzero coordinate
+        is 1;
       * span stabilizer: a linear map fixing the span of the current set
         pointwise can swap any two vectors outside it, so each node
         branches on only the first compatible candidate outside that span.
@@ -628,13 +620,7 @@ def exhaustive_max_sh_set(
             for k in range(r)
             for tail in itertools.product(range(ctx.q), repeat=k)
         ]
-    if must_contain_zero or plain or ctx.q == 2:
-        fresh = engine.values_of(0)
-        if fresh is None:
-            raise RuntimeError("search engine rejected the zero vector as a first element")
-        engine.push(0, fresh)
-    else:
-        candidates.insert(0, 0)
+    engine.push(0, engine.values_of(0))
     size, codes = _search_max(engine, candidates, h)
     if not codes:
         return 0, None

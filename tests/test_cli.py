@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, report formats, and file outputs."""
 
+import argparse
 import dataclasses
+import itertools
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +163,44 @@ def test_search_max_binary(capsys):
     assert "max=6" in out
 
 
+def test_search_max_contains_zero_changes_nothing(capsys):
+    # every maximum contains 0 (translation for q = 2 and plain mode, the
+    # zero lemma for q >= 3), so the flag is accepted and changes nothing
+    argv = ["search-max", "--q", "3", "--r", "3", "--h", "2", "-v"]
+    unflagged = run(capsys, *argv)
+    assert run(capsys, *argv, "--contains-zero") == unflagged
+    code, out, _ = unflagged
+    assert code == 0 and out.splitlines()[:2] == ["max=4", "0 0 0"]
+
+
+def _leaf_parsers(parser, path=()):
+    """(subcommand words, parser) of every runnable subcommand."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield from _leaf_parsers(sub, path + (name,))
+            return
+    yield path, parser
+
+
+def test_readme_synopsis_lists_every_long_option():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line usage", 1)[1].split("```")[1]
+    synopsis = {}
+    for line in block.replace("\\\n", " ").splitlines():
+        words = line.split()
+        if words[:1] == ["shlinear"]:
+            command = tuple(itertools.takewhile(lambda w: w[0].isalpha(), words[1:]))
+            synopsis[command] = set(re.findall(r"--[a-z][a-z-]*", line))
+    leaves = dict(_leaf_parsers(cli.build_parser()))
+    assert set(synopsis) == set(leaves)
+    for command, parser in leaves.items():
+        options = {
+            o for a in parser._actions for o in a.option_strings if o.startswith("--")
+        } - {"--help"}
+        assert synopsis[command] == options, command
+
+
 def test_bounds_vbar_exact(capsys):
     code, out, _ = run(capsys, "bounds", "vbar", "--q", "2", "--h", "2", "--n", "8", "--exact")
     assert code == 0
@@ -288,6 +330,8 @@ def test_selftest_checks_f4_distances(capsys, monkeypatch):
     ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "2", "--n-max", "5", "--n-min", "9"],
     ["bounds", "table", "--q", "2", "--r-min", "0"],
     ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "2", "--n-min", "0"],
+    # a codeword budget below 1
+    ["mindist", "--matrix", fx(fixtures.PARITY_F2_8X8), "--budget", "0"],
 ])
 def test_bad_parameters_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -306,6 +350,17 @@ def test_bad_parameters_exit_2(capsys, argv):
         assert "field order must be >= 2" in err or "6 is not a prime power" in err
     elif argv[0] == "bounds":
         assert "h=" in err
+
+
+def test_mindist_budget_below_1_refused_for_k0_code(tmp_path, capsys):
+    # a k = 0 code needs no enumeration, so the budget used to go unread
+    # and --budget -5 printed d=0
+    path = tmp_path / "identity.mat"
+    path.write_text("q=2 rows=3 cols=3\n1 0 0\n0 1 0\n0 0 1\n")
+    code, out, err = run(capsys, "mindist", "--matrix", str(path), "--budget", "-5")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "--budget" in err
+    assert run(capsys, "mindist", "--matrix", str(path), "--budget", "1")[:2] == (0, "d=0\n")
 
 
 @pytest.mark.parametrize("q, message", [

@@ -27,6 +27,21 @@ def test_f4_default_modulus():
     assert ctx.modulus == (1, 1, 1)  # the unique irreducible quadratic
 
 
+@pytest.mark.parametrize("q,modulus", [
+    (4, (1, 1, 1)),
+    (8, (1, 1, 0, 1)),
+    (9, (1, 0, 1)),
+    (16, (1, 1, 0, 0, 1)),
+    (25, (2, 0, 1)),
+    (27, (1, 2, 0, 1)),
+])
+def test_default_modulus_is_pinned(q, modulus):
+    # element codes, and so every set and matrix file written without a
+    # poly= header, rest on these moduli
+    assert gf.field_of_order(q).modulus == modulus
+    assert gf.default_modulus(*gf.factor_prime_power(q)) == modulus
+
+
 def test_f9_override_modulus_square_root_of_minus_one():
     # with modulus x^2 + 1 the generator x satisfies x*x = -1 = 2
     ctx = gf.make_field(3, 2, (1, 0, 1))

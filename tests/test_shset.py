@@ -461,10 +461,11 @@ def test_search_max_binary_r4_is_six(f2):
 
 def test_search_max_binary_r5_with_zero_is_seven(f2):
     # over F_2 translation preserves the property, so some maximum set
-    # contains 0 and pinning it loses nothing
-    size, witness = sl.exhaustive_max_sh_set(f2, 5, 2, must_contain_zero=True)
+    # contains 0 and the search, which starts from {0}, loses nothing
+    size, witness = sl.exhaustive_max_sh_set(f2, 5, 2)
     assert size == 7
     assert sl.is_sh_linear(witness)
+    assert witness.elems[0].is_zero()
 
 
 @pytest.mark.parametrize("r,h", [(2, 1), (2, 2), (3, 2), (3, 3)])
@@ -491,12 +492,38 @@ def test_search_matches_powerset_oracle_f3(f3):
 def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, xor, monkeypatch):
     # xor=None searches on the engine the field picks; xor=False puts the
     # generic kernel in place of the F_2 XOR specialization, so the scan
-    # checks the generic kernel's F_2 search as well
+    # checks the generic kernel's F_2 search as well. The search always
+    # starts from {0}; that the scan over every subset (zero=False) and the
+    # scan over the subsets holding 0 (zero=True) both agree with it is the
+    # powerset check of translation and of the zero lemma
     if xor is False:
         monkeypatch.setattr(shset, "_XorEngine", shset._Engine)
     ctx = sl.field_of_order(q)
-    size, witness = sl.exhaustive_max_sh_set(ctx, r, h, must_contain_zero=zero, mode=mode)
+    size, witness = sl.exhaustive_max_sh_set(ctx, r, h, mode=mode)
     assert (size, witness.elems if witness else None) == bruteforce_max(ctx, r, h, mode, zero)
+
+
+def test_adjoining_zero_keeps_sh_linear_for_q_above_2():
+    # the zero lemma: for q >= 3 a zero-free S_h-linear set of at least h
+    # elements stays S_h-linear when 0 is added
+    rng = random.Random(16)
+    done = 0
+    while done < 150:
+        q, h = rng.choice((3, 4, 5, 7, 8, 9)), rng.randint(2, 3)
+        r = rng.randint(2, 4)
+        size = rng.randint(h, h + 3)
+        cand = random_verified_set(rng, sl.field_of_order(q), r, h, size, include_zero=False)
+        if cand is None:
+            continue
+        assert sl.is_sh_linear(sl.adjoin_zero(cand)), cand.elems
+        done += 1
+
+
+def test_adjoining_zero_can_break_sh_linear_over_f2(f2):
+    # the lemma needs q >= 3: over F_2, e1 + e2 = 0 + (e1 + e2)
+    cand = shset.ShSetCandidate.from_coords(f2, [(1, 0), (0, 1), (1, 1)], 2)
+    assert sl.is_sh_linear(cand)
+    assert not sl.is_sh_linear(sl.adjoin_zero(cand))
 
 
 # (q, r, h, mode) -> (maximum, witness codes): the first six as
