@@ -13,7 +13,7 @@ files round-trip byte-identically.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .errors import ParseError
 from .gf import FieldCtx, default_modulus, factor_prime_power, make_field
@@ -83,23 +83,31 @@ def _content_lines(path: Path) -> List[Tuple[int, str]]:
     return out
 
 
-def load_vectors(path) -> Tuple[FieldCtx, int, List[FqVector]]:
-    """Load a set file: field context, dimension, vectors in file order."""
-    path = Path(path)
+def _read(path, least: Dict[str, int]) -> Tuple[str, FieldCtx, List[int], List[Tuple[int, str]]]:
+    """A file's name, its field, the integer header values of the keys of
+    `least`, each at least its value there, and its other content lines."""
     source = str(path)
-    lines = _content_lines(path)
+    lines = _content_lines(Path(path))
     if not lines:
         raise ParseError(f"{source}: empty file")
     lineno, header = lines[0]
     fields = _parse_header(header, lineno, source)
     ctx = _ctx_from_header(fields, lineno, source)
-    try:
-        r = int(fields["r"])
-    except (KeyError, ValueError):
-        raise ParseError(f"{source}: set header must carry r=<dimension>", lineno) from None
-    vectors = [
-        FqVector(ctx, _parse_codes(line, ctx, r, ln, source)) for ln, line in lines[1:]
-    ]
+    values = []
+    for key, low in least.items():
+        try:
+            values.append(int(fields[key]))
+        except (KeyError, ValueError):
+            raise ParseError(f"{source}: header must carry {key}=<integer>", lineno) from None
+        if values[-1] < low:
+            raise ParseError(f"{source}: header {key}={values[-1]} must be >= {low}", lineno)
+    return source, ctx, values, lines[1:]
+
+
+def load_vectors(path) -> Tuple[FieldCtx, int, List[FqVector]]:
+    """Load a set file: field context, dimension, vectors in file order."""
+    source, ctx, (r,), data = _read(path, {"r": 1})
+    vectors = [FqVector(ctx, _parse_codes(line, ctx, r, ln, source)) for ln, line in data]
     if not vectors:
         raise ParseError(f"{source}: no vectors after the header")
     return ctx, r, vectors
@@ -125,25 +133,10 @@ def save_set(path, candidate: ShSetCandidate) -> None:
 
 
 def load_matrix(path) -> FqMatrix:
-    path = Path(path)
-    source = str(path)
-    lines = _content_lines(path)
-    if not lines:
-        raise ParseError(f"{source}: empty file")
-    lineno, header = lines[0]
-    fields = _parse_header(header, lineno, source)
-    ctx = _ctx_from_header(fields, lineno, source)
-    try:
-        rows = int(fields["rows"])
-        cols = int(fields["cols"])
-    except (KeyError, ValueError):
-        raise ParseError(f"{source}: matrix header must carry rows= and cols=", lineno) from None
-    data = lines[1:]
+    source, ctx, (rows, cols), data = _read(path, {"rows": 0, "cols": 1})
     if len(data) != rows:
         raise ParseError(f"{source}: expected {rows} matrix rows, found {len(data)}")
-    entries = tuple(
-        _parse_codes(line, ctx, cols, ln, source) for ln, line in data
-    )
+    entries = tuple(_parse_codes(line, ctx, cols, ln, source) for ln, line in data)
     return FqMatrix(ctx, rows, cols, entries)
 
 

@@ -404,6 +404,13 @@ class PackedSpace:
         p, bias, tops, top = self._p, self._bias, self._tops, self._top
         return (s - (((s + bias) & tops) >> top) * p for u in us for v in vs for s in (u + v,))
 
+    def translate(self, x: int, vs: Iterable[int]) -> Iterator[int]:
+        """x + v for v in vs, lazily: one C-level map for p = 2."""
+        if self._p == 2:
+            return map(x.__xor__, vs)
+        p, bias, tops, top = self._p, self._bias, self._tops, self._top
+        return (s - (((s + bias) & tops) >> top) * p for v in vs for s in (x + v,))
+
     def multiples(self, x: int) -> List[int]:
         """c*x for c = 1, ..., q-1. The base-p digits of c weight x, alpha*x,
         ..., alpha^(m-1)*x, and alpha^j has code p^j, so (c + p^j)*x is

@@ -26,12 +26,12 @@ coordinate, first coordinate most significant, so numeric order is the
 canonical encoding order; addition is XOR for p = 2 and an add-and-correct
 for odd p. The scalar multiples of a vector are packed sums of x, alpha*x,
 ..., alpha^(m-1)*x, of which only the last m-1 use the field's
-multiplication table. No table over the q^r vectors is built. For q = 2 the
-search uses an XOR specialization (_XorEngine) of the kernel's one per-set
-loop. The kernel is a linalg.EchelonStack on the same packed ints, so the
-span of a growing set, which the search's span stabilizer tests, is kept
-by the package's one incremental elimination; check_2h_subsets_independent
-pushes its packed vectors onto a stack of its own.
+multiplication table. No table over the q^r vectors is built. One kernel
+serves every field: over F_2 and in plain mode each vector, and 0 always,
+is its only usable multiple. It is a linalg.EchelonStack on the same
+packed ints, grown by fits, push and pop, so the span that the search's
+span stabilizer tests is kept by the package's one incremental
+elimination; check_2h_subsets_independent uses a stack of its own.
 
 The kernel works a block at a time (_Engine.blocks): one list of packed
 values per index tuple (i, *rest), the multiples of a_i added to the block
@@ -52,7 +52,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .errors import (
     DimensionMismatchError,
@@ -178,7 +178,7 @@ class _Engine(linalg.EchelonStack):
     docstring), their canonical scalar multiples, and the bookkeeping of a
     growing set for search and extension: the values of its h-combinations,
     and the echelon basis of its span it inherits. In plain mode every
-    coefficient is 1."""
+    coefficient is 1, and over F_2 1 is the only coefficient."""
 
     def __init__(self, ctx: FieldCtx, r: int, h: int, plain: bool = False):
         super().__init__(ctx, r)
@@ -187,12 +187,15 @@ class _Engine(linalg.EchelonStack):
         self.seen: set = set()
         # _sums[k]: the values of every canonical k-combination of elems
         self._sums: List[List[int]] = [[0]] + [[] for _ in range(h - 1)]
-        self._marks: List[List[int]] = []
+        # per push: the lengths of _sums before it, the values it added to
+        # seen, and whether two (h-1)-sums agree after it
+        self._levels: List[Tuple[List[int], Iterable[int], bool]] = [([], (), False)]
+        self._fresh: set = set()  # the values of the vector fits last built
 
     def scaled(self, x: int) -> List[int]:
         """The multiples of x a canonical combination can use: 1*x alone for
-        the zero vector and in plain mode."""
-        return [x] if x == 0 or self.plain else self.multiples(x)
+        the zero vector, in plain mode and over F_2."""
+        return [x] if x == 0 or self.plain or self.q == 2 else self.multiples(x)
 
     # -- combinations --
 
@@ -224,52 +227,48 @@ class _Engine(linalg.EchelonStack):
             coeffs = itertools.product(*(range(1, len(scaled[i]) + 1) for i in idxs))
             yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), values)
 
-    def values_of(self, x: int) -> Optional[set]:
-        """Values of the h-combinations that use x and h-1 of the pushed
-        elements, or None when one of them is already a value or two agree.
-        The seen values and the (h-1)-sums are both closed under scaling by
-        F_q^*, so c*x + s is seen exactly when x + s/c is: only x's
-        coefficient-1 values are tested against them (in plain mode x is
-        its only multiple anyway), before the fresh values are built once."""
+    def fits(self, x: int) -> bool:
+        """Whether x, not yet pushed, can be: no value of an h-combination
+        of x and h-1 pushed elements is seen, and no two of them agree. In
+        linear mode the seen values and the (h-1)-sums are closed under
+        scaling by F_q^*, so c*x + s is seen exactly when x + s/c is: x's
+        coefficient-1 values are tested first, up to the first seen one.
+        When x is its only multiple, they are all its values, and two agree
+        exactly when two (h-1)-sums do, as push recorded; otherwise the
+        values are built once as a set, which push keeps."""
         partials = self._sums[-1]
-        if not self.seen.isdisjoint(self.add_all(partials, (x,))):
-            return None
+        if not self.seen.isdisjoint(self.translate(x, partials)):
+            return False
         xs = self.scaled(x)
-        fresh = set(self.add_all(partials, xs))
-        return fresh if len(fresh) == len(partials) * len(xs) else None
+        if len(xs) == 1:
+            return not self._levels[-1][2]
+        self._fresh = set(self.add_all(partials, xs))
+        return len(self._fresh) == len(partials) * len(xs)
 
-    def push(self, x: int, fresh) -> None:
+    def push(self, x: int) -> None:
+        """Push x, which fits; an x with several multiples must be the one
+        fits accepted last. Every push is undone by one pop."""
+        sums, xs = self._sums, self.scaled(x)
+        fresh = list(self.translate(x, sums[-1])) if len(xs) == 1 else self._fresh
         self.seen.update(fresh)
         self.elems.append(x)
-        sums = self._sums
-        self._marks.append([len(s) for s in sums])
-        xs = self.scaled(x)
+        marks = [len(s) for s in sums]
         for k in range(len(sums) - 1, 0, -1):
             sums[k] += self.add_all(sums[k - 1], xs)
+        # past 2h-2 elements one misses two agreeing (h-1)-sums, and added
+        # to both it would make two h-combinations agree
+        last = sums[-1]
+        repeats = len(self.elems) < 2 * self.h - 1 and len(set(last)) < len(last)
+        self._levels.append((marks, fresh, repeats))
         super().push(x)
 
-    def pop(self, fresh) -> None:
+    def pop(self) -> None:
+        marks, fresh, _ = self._levels.pop()
         self.elems.pop()
         self.seen.difference_update(fresh)
         super().pop()
-        for s, n in zip(self._sums, self._marks.pop()):
+        for s, n in zip(self._sums, marks):
             del s[n:]
-
-
-class _XorEngine(_Engine):
-    """The F_2 specialization: the only coefficient is 1, so the values of x
-    are XORs of x with the (h-1)-subsets of the pushed elements."""
-
-    def values_of(self, x: int) -> Optional[set]:
-        seen, fresh = self.seen, set()
-        for subset in itertools.combinations(self.elems, self.h - 1):
-            v = x
-            for s in subset:
-                v ^= s
-            if v in seen or v in fresh:
-                return None
-            fresh.add(v)
-        return fresh
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +518,7 @@ def _first_dependent_lex(
 # exhaustive maximum search
 # ---------------------------------------------------------------------------
 
-def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
+def _search_max(engine: _Engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
     """Candidate-list depth-first search: at each node the branch list holds
     only vectors individually compatible with the current set, so
     |set| + |remaining list| bounds every completion. Candidates stay in
@@ -544,17 +543,12 @@ def _search_max(engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
             outside = not engine.in_span(x)
             if outside and branched_outside:
                 continue
-            fresh = engine.values_of(x)
-            if fresh is None:
+            if not engine.fits(x):
                 continue
             branched_outside = branched_outside or outside
-            engine.push(x, fresh)
-            if len(engine.elems) + 1 >= h:
-                remaining = [y for y in cands[i + 1:] if engine.values_of(y) is not None]
-            else:
-                remaining = cands[i + 1:]
-            dfs(remaining)
-            engine.pop(fresh)
+            engine.push(x)
+            dfs([y for y in cands[i + 1:] if engine.fits(y)])
+            engine.pop()
 
     dfs(candidates)
     return best_size, best
@@ -600,7 +594,8 @@ def exhaustive_max_sh_set(
     encoding order is numeric order; they add by XOR for p = 2 and, for odd
     p, by an integer add that subtracts p from every field that reached p
     (see the module docstring). Returns (0, None) when no valid set of size
-    >= h exists. For q = 2 the XOR specialization of the kernel is used.
+    >= h exists. Every field runs the one kernel; for q = 2 each vector is
+    its only multiple.
     """
     if mode not in ("linear", "plain"):
         raise InvalidParameterError(f"mode must be 'linear' or 'plain', got {mode!r}")
@@ -611,7 +606,7 @@ def exhaustive_max_sh_set(
     if ctx.q ** r > SEARCH_SPACE_CAP:
         raise SpaceTooLargeError(f"q^r = {ctx.q ** r} exceeds cap {SEARCH_SPACE_CAP}")
     plain = mode == "plain"
-    engine = (_XorEngine if ctx.q == 2 else _Engine)(ctx, r, h, plain)
+    engine = _Engine(ctx, r, h, plain)
     if plain:
         candidates = list(engine.vectors(r))[1:]
     else:  # leading nonzero coordinate 1; every nonzero vector when q = 2
@@ -620,7 +615,7 @@ def exhaustive_max_sh_set(
             for k in range(r)
             for tail in itertools.product(range(ctx.q), repeat=k)
         ]
-    engine.push(0, engine.values_of(0))
+    engine.push(0)
     size, codes = _search_max(engine, candidates, h)
     if not codes:
         return 0, None
@@ -638,10 +633,9 @@ def _engine_holding(candidate: ShSetCandidate) -> Optional[_Engine]:
     engine = _Engine(candidate.ctx, candidate.r, candidate.h)
     for v in candidate.elems:
         x = engine.pack(v.coords)
-        fresh = engine.values_of(x)
-        if fresh is None:
+        if not engine.fits(x):
             return None
-        engine.push(x, fresh)
+        engine.push(x)
     return engine
 
 
@@ -660,9 +654,8 @@ def extend_to_maximal(candidate: ShSetCandidate) -> ShSetCandidate:
     for x in engine.vectors(r):
         if x in members:
             continue
-        fresh = engine.values_of(x)
-        if fresh is not None:
-            engine.push(x, fresh)
+        if engine.fits(x):
+            engine.push(x)
             added.append(FqVector(ctx, engine.unpack(x)))
     return replace(candidate, elems=candidate.elems + tuple(added))
 
@@ -674,6 +667,4 @@ def is_maximal(candidate: ShSetCandidate) -> bool:
     if engine is None:
         return False
     members = set(engine.elems)
-    return all(
-        engine.values_of(x) is None for x in engine.vectors(candidate.r) if x not in members
-    )
+    return not any(engine.fits(x) for x in engine.vectors(candidate.r) if x not in members)

@@ -340,10 +340,10 @@ def random_verified_set(
 
     def try_add(coords) -> bool:
         x = engine.pack(coords)
-        fresh = engine.values_of(x)
-        if fresh is not None:
-            engine.push(x, fresh)
-        return fresh is not None
+        if not engine.fits(x):
+            return False
+        engine.push(x)
+        return True
 
     chosen: List[Tuple[int, ...]] = []
     members = set()

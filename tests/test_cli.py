@@ -332,13 +332,29 @@ def test_selftest_checks_f4_distances(capsys, monkeypatch):
     ["bounds", "table", "--q", "2", "--mode", "vbar", "--h", "2", "--n-min", "0"],
     # a codeword budget below 1
     ["mindist", "--matrix", fx(fixtures.PARITY_F2_8X8), "--budget", "0"],
+    # a header key below its least value; an argument holding lines of text
+    # names a file with that text
+    ["verify", "--set", "q=2 r=0\n1\n", "--h", "1"],
+    ["hspan", "--set", "q=3 r=-1\n", "--h", "1", "--out", os.devnull],
+    ["mindist", "--matrix", "q=2 rows=-1 cols=3\n"],
+    ["mindist", "--matrix", "q=2 rows=0 cols=-3\n"],
+    ["mindist", "--matrix", "q=2 rows=0 cols=0\n"],
+    ["to-set", "--matrix", "q=3 rows=0 cols=0\n", "--h", "1", "--out", os.devnull],
 ])
-def test_bad_parameters_exit_2(capsys, argv):
+def test_bad_parameters_exit_2(capsys, tmp_path, argv):
+    texts = [arg for arg in argv if "\n" in arg]
+    for i, text in enumerate(texts):
+        path = tmp_path / f"input{i}"
+        path.write_text(text)
+        argv = [str(path) if arg == text else arg for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
-    if "--budget" in argv:
+    if texts:
+        bad = re.search(r"header (\w+=-?\d+) must be >= [01]$", err.strip())
+        assert bad and bad.group(1) in texts[0].split()
+    elif "--budget" in argv:
         assert "--budget" in err
     elif "--poly" in argv:
         assert "--poly" in err
@@ -350,6 +366,13 @@ def test_bad_parameters_exit_2(capsys, argv):
         assert "field order must be >= 2" in err or "6 is not a prime power" in err
     elif argv[0] == "bounds":
         assert "h=" in err
+
+
+def test_whole_space_code_accepted(tmp_path, capsys):
+    # no parity checks: the [4,4,1] code of all of F_2^4
+    path = tmp_path / "whole.mat"
+    path.write_text("q=2 rows=0 cols=4\n")
+    assert run(capsys, "mindist", "--matrix", str(path)) == (0, "d=1\n", "")
 
 
 def test_mindist_budget_below_1_refused_for_k0_code(tmp_path, capsys):

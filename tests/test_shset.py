@@ -481,23 +481,20 @@ def test_search_matches_powerset_oracle_f3(f3):
     assert plain == bruteforce_max(f3, 2, 2, mode="plain")[0]
 
 
-@pytest.mark.parametrize("q,r,h,mode,zero,xor", [
-    (q, r, h, mode, zero, xor)
+# the ids keep the "-None" suffix of a kernel choice the search no longer
+# has, so that each case is reported under the same name as before
+@pytest.mark.parametrize("q,r,h,mode,zero", [
+    pytest.param(q, r, h, mode, zero, id=f"{q}-{r}-{h}-{mode}-{zero}-None")
     for q, r in ((2, 1), (2, 2), (2, 3), (3, 2), (4, 2))
     for h in (1, 2, 3)
     for mode in ("linear", "plain")
     for zero in (False, True)
-    for xor in ((None, False) if q == 2 else (None,))
 ])
-def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero, xor, monkeypatch):
-    # xor=None searches on the engine the field picks; xor=False puts the
-    # generic kernel in place of the F_2 XOR specialization, so the scan
-    # checks the generic kernel's F_2 search as well. The search always
-    # starts from {0}; that the scan over every subset (zero=False) and the
-    # scan over the subsets holding 0 (zero=True) both agree with it is the
-    # powerset check of translation and of the zero lemma
-    if xor is False:
-        monkeypatch.setattr(shset, "_XorEngine", shset._Engine)
+def test_search_witness_is_lex_first_maximum(q, r, h, mode, zero):
+    # the search always starts from {0}; that the scan over every subset
+    # (zero=False) and the scan over the subsets holding 0 (zero=True) both
+    # agree with it is the powerset check of translation and of the zero
+    # lemma
     ctx = sl.field_of_order(q)
     size, witness = sl.exhaustive_max_sh_set(ctx, r, h, mode=mode)
     assert (size, witness.elems if witness else None) == bruteforce_max(ctx, r, h, mode, zero)
@@ -554,7 +551,8 @@ def test_search_witness_is_pinned(case, expected):
 
 def _check_engine_span(engine, r):
     """The kernel's incremental span agrees with linalg.in_span on every
-    vector after each push and pop of a random sequence."""
+    vector after each push and pop of a random sequence. The sequence may
+    collide, so it goes onto the EchelonStack base alone."""
     ctx, q = engine.ctx, engine.q
     vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
     packs = [engine.pack(v.coords) for v in vectors]
@@ -568,29 +566,97 @@ def _check_engine_span(engine, r):
 
     for _ in range(3):
         for code in rng.sample(range(q ** r), r + 1):
-            engine.push(packs[code], [])
+            linalg.EchelonStack.push(engine, packs[code])
             pushed.append(code)
             check()
         for _ in range(rng.randint(1, r)):
-            engine.pop([])
+            linalg.EchelonStack.pop(engine)
             pushed.pop()
             check()
 
 
-@pytest.mark.parametrize("q,r,xor,linear", [
-    (2, 4, True, True), (2, 4, False, True), (3, 3, False, True), (4, 2, False, True),
-    (5, 2, False, True), (3, 3, False, False), (4, 2, False, False), (8, 2, False, True),
-    (9, 2, False, True),
+# the ids keep the "-False" of a kernel choice the kernel no longer has
+@pytest.mark.parametrize("q,r,linear", [
+    pytest.param(q, r, linear, id=f"{q}-{r}-False-{linear}")
+    for q, r, linear in ((2, 4, True), (3, 3, True), (4, 2, True), (5, 2, True),
+                         (3, 3, False), (4, 2, False), (8, 2, True), (9, 2, True))
 ])
-def test_engine_span_matches_elimination(q, r, xor, linear):
-    # the span is the same in plain mode, where combinations use only 1*x;
-    # xor=True checks that the XOR specialization inherits it intact
-    engine_class = shset._XorEngine if xor else shset._Engine
-    _check_engine_span(engine_class(sl.field_of_order(q), r, 2, plain=not linear), r)
+def test_engine_span_matches_elimination(q, r, linear):
+    # the span is the same in plain mode, where combinations use only 1*x
+    _check_engine_span(shset._Engine(sl.field_of_order(q), r, 2, plain=not linear), r)
 
 
 def test_engine_span_matches_elimination_other_modulus():
     _check_engine_span(shset._Engine(sl.make_field(3, 2, (2, 2, 1)), 2, 2), 2)  # x^2 + 2x + 2
+
+
+@pytest.mark.parametrize("mode", ["linear", "plain"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
+def test_engine_fits_matches_verifier(q, mode):
+    """After every push and pop of random sequences, fits(x) agrees with
+    the block verifier on the pushed set plus x, for every vector x of the
+    space. Each sequence starts with a parallel pair a, c*a or pushes 0
+    after other elements, so the single-multiple test is reached by x = 0
+    for q >= 3 too, and stops at 2h + 2 elements, past the 2h - 2 up to
+    which two (h-1)-sums can agree."""
+    ctx = sl.field_of_order(q)
+    r = {2: 4, 3: 3}.get(q, 2)
+    check = sl.check_sh_linear if mode == "linear" else sl.check_sh_set
+    vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
+    rng = random.Random(q * 10 + len(mode))
+    for h in (1, 2, 3, 4):
+        engine = shset._Engine(ctx, r, h, plain=mode == "plain")
+        packs = [engine.pack(v.coords) for v in vectors]
+        pushed: list = []
+
+        def fitting():
+            """The positions of the vectors that fit, each checked."""
+            out = []
+            for i, v in enumerate(vectors):
+                if i in pushed:
+                    continue
+                elems = [vectors[j] for j in pushed] + [v]
+                valid = len(elems) < h or check(shset.ShSetCandidate(ctx, r, elems, h)) is None
+                assert engine.fits(packs[i]) == valid, ([vectors[j].coords for j in pushed], v.coords, h)
+                if valid:
+                    out.append(i)
+            return out
+
+        for start in ("parallel", "zero last"):
+            a = rng.randrange(1, q ** r)
+            if start == "parallel":
+                c = rng.randrange(2, q) if q > 2 else 1
+                firsts = [a, vectors.index(vectors[a].scale(c))]
+            else:
+                firsts = [a, rng.randrange(1, q ** r), 0]
+            options = fitting()
+            while options and len(pushed) < 2 * h + 2:
+                i = firsts.pop(0) if firsts else rng.choice(options)
+                if i in options:
+                    assert engine.fits(packs[i])
+                    engine.push(packs[i])
+                    pushed.append(i)
+                    if rng.random() < 0.25:
+                        fitting()
+                        engine.pop()
+                        pushed.pop()
+                    options = fitting()
+            while pushed:
+                engine.pop()
+                pushed.pop()
+                fitting()
+
+
+@pytest.mark.parametrize("r", [3, 4])
+def test_two_agreeing_sums_close_the_set(f2, r):
+    # {0, a, b, a+b} is S_3-linear, and its 2-sums a+b = 0+(a+b) agree, so
+    # y + (a+b) is taken twice for every further y: no vector can be added
+    ones = [tuple(int(j == i) for j in range(r)) for i in (r - 2, r - 1)]
+    coords = [(0,) * r, ones[1], ones[0], tuple(map(operator.or_, *ones))]
+    cand = shset.ShSetCandidate.from_coords(f2, sorted(coords), 3)
+    assert sl.is_sh_linear(cand)
+    assert shset.is_maximal(cand)
+    assert sl.extend_to_maximal(cand).elems == cand.elems
 
 
 @pytest.mark.parametrize("q,modulus", [
