@@ -174,9 +174,9 @@ def _cmd_verify(args) -> int:
 def _cmd_hspan(args) -> int:
     _check_input(args.set_path)
     candidate = fileio.load_set(args.set_path, args.h)
-    lines = shset.h_span_lines(candidate)
-    fileio.save_lines(args.out, candidate.ctx, candidate.r, lines)
-    print(f"count={len(lines)}")
+    text = shset.h_span_text(candidate)
+    fileio.save_rows(args.out, candidate.ctx, candidate.r, text)
+    print(f"count={text.count(chr(10))}")
     print(f"out={args.out}")
     return 0
 

@@ -119,13 +119,12 @@ def load_set(path, h: int) -> ShSetCandidate:
 
 
 def save_vectors(path, ctx: FieldCtx, r: int, vectors) -> None:
-    save_lines(path, ctx, r, [" ".join(str(c) for c in v.coords) for v in vectors])
+    save_rows(path, ctx, r, "".join(" ".join(map(str, v.coords)) + "\n" for v in vectors))
 
 
-def save_lines(path, ctx: FieldCtx, r: int, lines: List[str]) -> None:
-    """A set file whose vector lines are given as text."""
-    text = "\n".join([f"{_header_field(ctx)} r={r}", *lines]) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+def save_rows(path, ctx: FieldCtx, r: int, text: str) -> None:
+    """A set file whose vector rows are given as text, one line each."""
+    Path(path).write_text(f"{_header_field(ctx)} r={r}\n{text}", encoding="utf-8")
 
 
 def save_set(path, candidate: ShSetCandidate) -> None:

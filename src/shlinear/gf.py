@@ -194,33 +194,33 @@ class FieldCtx:
 
     def _build_tables(self) -> None:
         p, m, q = self.p, self.m, self.q
-        if m == 1:
-            add = [[(a + b) % p for b in range(p)] for a in range(p)]
-            mul = [[(a * b) % p for b in range(p)] for a in range(p)]
-        else:
-            mod = list(self.modulus)
-            add = [
-                [
-                    _encode([(x + y) % p for x, y in zip(_digits(a, p, m), _digits(b, p, m))], p)
-                    for b in range(q)
-                ]
-                for a in range(q)
-            ]
-            mul = []
-            for a in range(q):
-                da = _digits(a, p, m)
-                row = []
-                for b in range(q):
-                    prod = _poly_mod(_poly_mul(da, _digits(b, p, m), p), mod, p)
-                    row.append(_encode(prod + [0] * (m - len(prod)), p))
-                mul.append(row)
+        # addition a digit at a time: the table of k + 1 base-p digits is
+        # that of the low k, with the sum of the top digits mod p above
+        add = [[(a + b) % p for b in range(p)] for a in range(p)]
+        for k in range(1, m):
+            low, size = add, p ** k
+            add = [[x + top for c in range(p) for top in ((hi + c) % p * size,) for x in low[lo]]
+                   for hi in range(p) for lo in range(size)]
+        # multiplication by logarithms, a * b = g^(log a + log b), for the
+        # first g whose powers, each one product from the last, reach q - 1
+        mod = self.modulus or (0, 1)  # x: reducing by it keeps the constants of F_p
+
+        def times(a: int, b: int) -> int:
+            return _encode(_poly_mod(_poly_mul(_digits(a, p, m), _digits(b, p, m), p), mod, p), p)
+
+        for g in range(1, q):
+            power = [1]
+            while (a := times(power[-1], g)) != 1:
+                power.append(a)
+            if len(power) == q - 1:
+                break
+        log = {a: e for e, a in enumerate(power)}
+        power += power
+        logs = [log[b] for b in range(1, q)]
         self._add = tuple(tuple(r) for r in add)
-        self._mul = tuple(tuple(r) for r in mul)
+        self._mul = ((0,) * q,) + tuple((0, *[power[log[a] + e] for e in logs]) for a in range(1, q))
         self._neg = tuple(row.index(0) for row in self._add)
-        inv = [0] * q
-        for a in range(1, q):
-            inv[a] = self._mul[a].index(1)
-        self._inv = tuple(inv)
+        self._inv = (0,) + tuple(power[q - 1 - log[a]] for a in range(1, q))
 
     # -- element operations (elements are ints in [0, q)) --
 

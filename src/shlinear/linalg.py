@@ -7,8 +7,9 @@ matrix questions run plain Gauss-Jordan elimination on coordinate lists
 never justify more. It is kept apart from the packed kernel below on
 purpose, as the independent reference the tests check EchelonStack against.
 
-PackedSpace holds vectors of any F_q^r as ints with packed addition,
-scalar multiples and a Hamming-distance filter; the combination kernel of
+PackedSpace holds vectors of any F_q^r as ints, alone or side by side as
+lanes of one int, with packed addition, scalar multiples, a Hamming-
+distance filter and a set-file formatter; the combination kernel of
 shset, the code enumeration of bounds and the codeword walk of code share
 it. Its pivot() builds the one elimination step, the multiples of a vector
 that clear each value of its leading coordinate, and clear() applies one
@@ -22,6 +23,7 @@ pivots directly.
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -341,7 +343,9 @@ class PackedSpace:
     there, so the distance far() filters by is a mask, an add, an or, a mask
     and a bit count: adding all ones to a coordinate's low bits of x carries
     into its top bit exactly when one of them is set, and or-ing x brings in
-    the top bit."""
+    the top bit. Vectors also lie side by side in one int, a lane each (the
+    smallest of 8, 16, 32 or 64 bits, else a multiple of 64): no field carries
+    out of itself, so one add and correction adds all lanes, no guard bit."""
 
     def __init__(self, ctx: FieldCtx, r: int):
         p, m = ctx.p, ctx.m
@@ -366,6 +370,10 @@ class PackedSpace:
         # per coordinate: every bit but the top one, and the top one
         self.low = coords * (self._cmask >> 1)
         self.high = coords << (self._cw - 1)
+        bits = self._cw * r  # a lane in bytes, a 1 in it, and its struct format
+        self._lane = lane = next((b for b in (1, 2, 4, 8) if 8 * b >= bits), -(-bits // 64) * 8)
+        self._one = (1).to_bytes(lane, "little")
+        self._format = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(lane)
 
     def pack(self, coords: Sequence[int]) -> int:
         v, cw, field = 0, self._cw, self._field
@@ -377,15 +385,39 @@ class PackedSpace:
         cmask, elem = self._cmask, self._elem
         return tuple(elem[(x >> s) & cmask] for s in self._shifts)
 
-    def lines(self, xs: Iterable[int]) -> List[str]:
-        """Each packed vector as its element codes separated by single
-        spaces, the row form of a set file, read off one coordinate's bit
-        field at a time through a table of the codes' text."""
-        cmask, shifts = self._cmask, self._shifts
-        text = [""] * (cmask + 1)
-        for f, a in self._elem.items():
-            text[f] = str(a)
-        return [" ".join([text[(x >> s) & cmask] for s in shifts]) for x in xs]
+    def to_lanes(self, xs: Sequence[int]) -> bytes:
+        """xs side by side, a lane each, the first in the lowest bytes."""
+        if self._format:
+            return struct.pack(f"<{len(xs)}{self._format}", *xs)
+        return b"".join([x.to_bytes(self._lane, "little") for x in xs])
+
+    def from_lanes(self, data) -> Sequence[int]:
+        """The packed vectors in the lanes of data, in order."""
+        lane = self._lane
+        if self._format:
+            return struct.unpack(f"<{len(data) // lane}{self._format}", data)
+        return [int.from_bytes(data[i:i + lane], "little") for i in range(0, len(data), lane)]
+
+    def text(self, xs: Sequence[int]) -> str:
+        """The set-file rows of xs, a coordinate of all at once: a shift and
+        mask of their lanes, the base-p digits folded into a code byte, and
+        per place of the NUL-padded text one translate and extended slice."""
+        n, lane, p, m = len(xs), self._lane, self._p, self.ctx.m
+        ones, width = int.from_bytes(self._one * n, "little"), self._cw // m
+        values, cmask = int.from_bytes(self.to_lanes(xs), "little"), self._cmask * ones
+        digit, places = ((1 << width) - 1) * ones, len(str(self.q - 1))
+        codes = [str(a).rjust(places, "\0") for a in range(self.q)] + ["\0" * places] * (256 - self.q)
+        tables = ["".join(place).encode() for place in zip(*codes)]
+        row = " ".join(["\0" * places] * len(self._shifts)) + "\n"
+        out, step = bytearray(row.encode() * n), len(row)
+        for j, shift in enumerate(self._shifts):
+            field = (values >> shift) & cmask
+            if p > 2 and m > 1:  # else the field is the code
+                field = sum(((field >> (d * width)) & digit) * p ** d for d in range(m))
+            code = field.to_bytes(n * lane, "little")[::lane]
+            for t, table in enumerate(tables):
+                out[j * (places + 1) + t::step] = code.translate(table)
+        return out.translate(None, b"\0").decode()
 
     def vectors(self, k: int) -> Iterator[int]:
         """Every packed vector of F_q^k, in canonical order."""

@@ -33,18 +33,15 @@ packed ints, grown by fits, push and pop, so the span that the search's
 span stabilizer tests is kept by the package's one incremental
 elimination; check_2h_subsets_independent uses a stack of its own.
 
-The kernel works a block at a time (_Engine.blocks): one list of packed
-values per index tuple (i, *rest), the multiples of a_i added to the block
-of rest with the coefficient of a_i outermost, which is the pinned order.
-The blocks of the (h-1)-tuples are built once per call and kept: C(n,h-1)
-lists of at most (q-1)^(h-1) ints, less than the values a verification
-keeps of the h-combinations themselves. Verification tests each block
-against the values seen so far at once and walks a block value by value
-only when it meets one or repeats a value itself (two parallel elements);
-a value is remembered by its position, and the terms of the two colliding
-combinations are decoded from their positions only at the collision.
-h_span_lines sorts the distinct packed values and turns each into a
-set-file line once, with no FqVector in between.
+The kernel works a chunk at a time (_Engine.chunks): the values of every
+combination whose first index is i, in the pinned order. Vectors lie side
+by side as lanes of one int (linalg.PackedSpace), so the k-combinations
+of the elements >= i form one int, and one add and correction adds a
+multiple of a_i to all of them; no guard bit is needed between lanes.
+Verification puts each chunk into one set of the values seen and walks
+only the first chunk that does not grow it by its length, value by value;
+the colliding terms are decoded from positions only then. h_span_text
+formats the sorted distinct values a coordinate at a time.
 """
 
 from __future__ import annotations
@@ -199,33 +196,46 @@ class _Engine(linalg.EchelonStack):
 
     # -- combinations --
 
-    def blocks(self, scaled: Sequence[List[int]]) -> Iterator[Tuple[Tuple[int, ...], List[int]]]:
-        """(index tuple, packed values) of every canonical h-combination of
-        the elements whose usable multiples are scaled, in the pinned order:
-        index tuples lexicographically, then coefficient tuples ascending.
-        The values of (i, *rest) are scaled[i] added to the block of rest,
-        the coefficient of i outermost; the blocks of the (h-1)-tuples are
-        built once, level by level, and kept for the whole call."""
-        n, add_all = len(scaled), self.add_all
-        # tails[j]: (tuple, block) of the k-tuples starting at j, the empty
-        # tuple standing at j = n
-        tails: List[list] = [[] for _ in range(n)] + [[((), [0])]]
-        for _ in range(self.h - 1):
-            tails = [
-                [((i,) + t, list(add_all(scaled[i], b))) for j in range(i + 1, n + 1) for t, b in tails[j]]
-                for i in range(n)
-            ] + [[]]
-        for i, xs in enumerate(scaled):
-            for j in range(i + 1, n + 1):
-                for t, b in tails[j]:
-                    yield (i,) + t, list(add_all(xs, b))
+    def chunks(self, scaled: Sequence[List[int]]) -> Iterator[Sequence[int]]:
+        """The packed values of every canonical h-combination, a sequence per
+        first index, in the pinned order. Level k, the lanes of every
+        k-combination chunk after chunk (that of the elements >= i is a
+        suffix), is built once per call with its k-tuples' block sizes."""
+        n, lane = len(scaled), self._lane
+        if self.h == 1:
+            yield from map(tuple, scaled)
+            return
+        sizes = [len(xs) * lane for xs in scaled]
+        level = self.to_lanes([x for xs in scaled for x in xs])
+        starts = list(zip(itertools.accumulate(sizes, initial=0), range(n + 1)))
+        for k in range(2, self.h + 1):
+            parts, grown, marks = [], [], [(0, 0)]
+            for i in range(n - k + 1):
+                offset, first = starts[i + 1]
+                part = self._chunk(scaled[i], memoryview(level)[offset:], sizes[first:])
+                if k == self.h:
+                    yield self.from_lanes(part)
+                    continue
+                parts.append(part)
+                grown += [len(scaled[i]) * size for size in sizes[first:]]
+                marks.append((marks[-1][0] + len(part), len(grown)))
+            level, sizes, starts = b"".join(parts), grown, marks
 
-    def combinations(self, scaled: Sequence[List[int]]) -> Iterator[Tuple[Terms, int]]:
-        """(terms, packed value) of every canonical h-combination, in the
-        pinned order."""
-        for idxs, values in self.blocks(scaled):
-            coeffs = itertools.product(*(range(1, len(scaled[i]) + 1) for i in idxs))
-            yield from zip((tuple(zip(idxs, cs)) for cs in coeffs), values)
+    def _chunk(self, xs: List[int], tail: memoryview, sizes: List[int]) -> bytes:
+        """Each x in xs added to all lanes of tail at once (no lane carries),
+        the sums interleaved per block of tail, sizes in bytes, x outermost."""
+        size, values = len(tail), int.from_bytes(tail, "little")
+        ones = int.from_bytes(self._one * (size // self._lane), "little")
+        if self._p == 2:
+            rows = [(values ^ x * ones).to_bytes(size, "little") for x in xs]
+        else:
+            bias, tops, top, p = self._bias * ones, self._tops * ones, self._top, self._p
+            rows = [(s - (((s + bias) & tops) >> top) * p).to_bytes(size, "little")
+                    for x in xs for s in (values + x * ones,)]
+        if len(rows) == 1:
+            return rows[0]
+        bounds = list(itertools.accumulate(sizes, initial=0))
+        return b"".join([row[a:b] for a, b in zip(bounds, bounds[1:]) for row in rows])
 
     def fits(self, x: int) -> bool:
         """Whether x, not yet pushed, can be: no value of an h-combination
@@ -282,10 +292,29 @@ def _kernel(candidate: ShSetCandidate, plain: bool) -> Tuple[_Engine, List[List[
     return engine, [engine.scaled(engine.pack(v.coords)) for v in candidate.elems]
 
 
+def _pinned_terms(scaled: Sequence[List[int]], h: int, first: int = 0, skip: int = 0) -> Iterator[Terms]:
+    """The terms of every canonical h-combination with first index >= first
+    in the pinned order, from the skip-th on, whole index tuples skipped."""
+    radices = [len(xs) for xs in scaled]
+    for idxs in itertools.combinations(range(first, len(scaled)), h):
+        size = math.prod(map(radices.__getitem__, idxs))
+        if skip < size:
+            coeffs = itertools.product(*(range(1, radices[i] + 1) for i in idxs))
+            yield from (tuple(zip(idxs, cs)) for cs in itertools.islice(coeffs, skip, None))
+        skip = max(skip - size, 0)
+
+
+def _combinations(candidate: ShSetCandidate, plain: bool) -> Tuple[_Engine, Iterator[Tuple[Terms, int]]]:
+    """A kernel, and the chunk stream zipped with the pinned terms."""
+    engine, scaled = _kernel(candidate, plain)
+    values = itertools.chain.from_iterable(engine.chunks(scaled))
+    return engine, zip(_pinned_terms(scaled, candidate.h), values)
+
+
 def enumerate_h_combinations(candidate: ShSetCandidate) -> Iterator[Tuple[HCombination, FqVector]]:
     """Stream every canonical h-linear combination with its value."""
-    engine, scaled = _kernel(candidate, plain=False)
-    for terms, value in engine.combinations(scaled):
+    engine, combos = _combinations(candidate, plain=False)
+    for terms, value in combos:
         yield HCombination(terms), FqVector(candidate.ctx, engine.unpack(value))
 
 
@@ -302,10 +331,7 @@ def count_h_combinations(candidate: ShSetCandidate) -> int:
 
 def _span(candidate: ShSetCandidate) -> Tuple[_Engine, set]:
     engine, scaled = _kernel(candidate, plain=False)
-    span: set = set()
-    for _, values in engine.blocks(scaled):
-        span.update(values)
-    return engine, span
+    return engine, set(itertools.chain.from_iterable(engine.chunks(scaled)))
 
 
 def h_span(candidate: ShSetCandidate) -> set:
@@ -314,11 +340,10 @@ def h_span(candidate: ShSetCandidate) -> set:
     return {FqVector(candidate.ctx, engine.unpack(v)) for v in span}
 
 
-def h_span_lines(candidate: ShSetCandidate) -> List[str]:
-    """The set-file lines of the values in h_span, in canonical encoding
-    order: packed values sort numerically in that order."""
+def h_span_text(candidate: ShSetCandidate) -> str:
+    """The set-file rows of h_span in canonical order: numeric on packed values."""
     engine, span = _span(candidate)
-    return engine.lines(sorted(span))
+    return engine.text(sorted(span))
 
 
 # ---------------------------------------------------------------------------
@@ -327,47 +352,28 @@ def h_span_lines(candidate: ShSetCandidate) -> List[str]:
 
 def _first_collision(candidate: ShSetCandidate, plain: bool) -> Optional[CollisionWitness]:
     """The first value, in the pinned order, that an earlier combination
-    already took. Each block is tested against the dict of earlier values
-    at once; a block is walked value by value only when it meets one, or
-    when it repeats a value itself (two parallel elements). A value's
-    position is its block's number times the largest block size plus its
-    offset in the block, and the terms are decoded from positions only at
-    the collision."""
+    already took, with that one. Only the first chunk that does not grow
+    the set of values seen by its length is walked, value by value."""
     engine, scaled = _kernel(candidate, plain)
-    size = max(len(xs) for xs in scaled) ** candidate.h
-    seen: Dict[int, int] = {}
-    earlier = seen.keys()
-    for block, (_, values) in enumerate(engine.blocks(scaled)):
-        base = block * size
-        if earlier.isdisjoint(values):
-            count = len(seen)
-            seen.update(zip(values, range(base, base + len(values))))
-            if len(seen) - count == len(values):
-                continue
-            known: Dict[int, int] = {}  # the repeat lies inside this block
-        else:
-            known = seen
-        for pos, value in enumerate(values, base):
-            prev = known.setdefault(value, pos)
-            if prev != pos:
-                lhs, rhs = (_terms(scaled, candidate.h, p, size) for p in (prev, pos))
-                value_vector = FqVector(candidate.ctx, engine.unpack(value))
-                return CollisionWitness(HCombination(lhs), HCombination(rhs), value_vector)
-    return None
-
-
-def _terms(scaled: Sequence[List[int]], h: int, pos: int, size: int) -> Terms:
-    """The terms of the combination at a position: the block number is the
-    rank of its index tuple in lexicographic order, the offset a mixed-radix
-    number whose digits are the coefficient indices, the first index's most
-    significant."""
-    block, offset = divmod(pos, size)
-    idxs = next(itertools.islice(itertools.combinations(range(len(scaled)), h), block, None))
-    coeffs = []
-    for i in reversed(idxs):
-        offset, c = divmod(offset, len(scaled[i]))
-        coeffs.append(c + 1)
-    return tuple(zip(idxs, reversed(coeffs)))
+    seen, chunks = set(), []
+    for chunk in engine.chunks(scaled):
+        chunks.append(chunk)
+        count = len(seen)
+        seen.update(chunk)
+        if len(seen) - count < len(chunk):
+            break
+    else:
+        return None
+    # the values of earlier chunks met, then each value walked
+    taken = set(chunk).intersection(itertools.chain.from_iterable(chunks[:-1])) if count else set()
+    for offset, value in enumerate(chunk):
+        if value in taken:
+            break
+        taken.add(value)
+    first = next(i for i, taker in enumerate(chunks) if value in taker)
+    positions = (first, chunks[first].index(value)), (len(chunks) - 1, offset)  # (first index, offset)
+    lhs, rhs = (HCombination(next(_pinned_terms(scaled, candidate.h, *pos))) for pos in positions)
+    return CollisionWitness(lhs, rhs, FqVector(candidate.ctx, engine.unpack(value)))
 
 
 def check_sh_linear(candidate: ShSetCandidate) -> Optional[CollisionWitness]:
@@ -394,10 +400,10 @@ def collision_groups(
 ) -> List[Tuple[FqVector, Tuple[HCombination, ...]]]:
     """Every value hit by more than one combination, with all of its
     combinations, ordered by first occurrence. Empty iff the set verifies."""
-    engine, scaled = _kernel(candidate, plain)
+    engine, combos = _combinations(candidate, plain)
     groups: Dict[int, List[Terms]] = {}
     order: List[int] = []
-    for terms, value in engine.combinations(scaled):
+    for terms, value in combos:
         bucket = groups.get(value)
         if bucket is None:
             groups[value] = [terms]

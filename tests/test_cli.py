@@ -4,6 +4,7 @@ import argparse
 import dataclasses
 import itertools
 import os
+import random
 import re
 import subprocess
 import sys
@@ -101,6 +102,26 @@ def test_hspan_file_equals_saved_sorted_span(tmp_path, capsys, name):
         span = sorted(shset.h_span(candidate), key=lambda v: v.encode())
         fileio.save_vectors(expected, candidate.ctx, candidate.r, span)
         assert out_path.read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("q", [11, 16, 27, 121, 243, 251, 256])
+@pytest.mark.parametrize("r", [1, 3])
+def test_hspan_file_equals_saved_sorted_span_over_larger_fields(tmp_path, capsys, q, r):
+    """Multi-digit codes, and coordinates wider than a byte (q = 27, 243,
+    251), which the shipped fixtures do not reach."""
+    ctx = shlinear.field_of_order(q)
+    rng = random.Random(q * 10 + r)
+    h = 2 if r == 1 or q <= 27 else 1
+    codes = rng.sample(range(q ** r), 4)
+    vectors = [shlinear.linalg.decode_vector(ctx, r, c) for c in codes]
+    set_path, out_path, expected = (tmp_path / f for f in ("set.set", "span.set", "expected.set"))
+    fileio.save_vectors(set_path, ctx, r, vectors)
+    code, out, _ = run(capsys, "hspan", "--set", str(set_path), "--h", str(h), "--out", str(out_path))
+    assert code == 0
+    span = sorted(shset.h_span(fileio.load_set(set_path, h)), key=lambda v: v.encode())
+    assert f"count={len(span)}" in out
+    fileio.save_vectors(expected, ctx, r, span)
+    assert out_path.read_bytes() == expected.read_bytes()
 
 
 def test_python_m_shlinear_runs_the_cli():

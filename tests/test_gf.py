@@ -70,6 +70,22 @@ def test_tables_match_naive_polynomial_oracle(q):
             assert ctx.mul(a, b) == naive.mul(a, b)
 
 
+@pytest.mark.parametrize("q", [2, 27, 64, 121, 243, 251, 256])
+def test_large_tables_match_naive_polynomial_oracle(q):
+    """The log/antilog multiplication and digit-wise addition tables, on
+    whole rows of a few elements and a random sample of pairs."""
+    p, m = gf.factor_prime_power(q)
+    ctx = gf.make_field(p, m)
+    naive = NaiveField(p, m, ctx.modulus)
+    rng = random.Random(q)
+    pairs = [(a, b) for a in {0, 1, p % q, q - 1} for b in range(q)]
+    pairs += [(rng.randrange(q), rng.randrange(q)) for _ in range(1500)]
+    for a, b in pairs:
+        assert ctx.add(a, b) == naive.add(a, b)
+        assert ctx.mul(a, b) == naive.mul(a, b)
+    assert all(ctx.mul(a, ctx.inv(a)) == 1 for a in range(1, q))
+
+
 @pytest.mark.parametrize("q", SUPPORTED_ORDERS)
 def test_field_axioms(q):
     ctx = gf.field_of_order(q)

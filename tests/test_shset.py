@@ -146,6 +146,105 @@ def test_block_kernel_equals_the_per_tuple_reference(q):
     assert inside_one_tuple > 0 or q == 2
 
 
+def _kernel_equals_reference(cand):
+    """Enumeration, span, both first-collision witnesses and both sets of
+    collision groups of cand equal those of the per-tuple scan; returns
+    the linear-mode witness."""
+    ref = reference_enumeration(cand)
+    assert [(c.terms, v) for c, v in sl.enumerate_h_combinations(cand)] == ref
+    assert sl.h_span(cand) == {v for _, v in ref}
+    for plain, check in ((False, sl.check_sh_linear), (True, sl.check_sh_set)):
+        combos = reference_enumeration(cand, plain) if plain else ref
+        got, want = check(cand), reference_first_collision(combos)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert (got.lhs.terms, got.rhs.terms, got.value) == (
+                want.lhs.terms, want.rhs.terms, want.value)
+        groups = sl.collision_groups(cand, plain)
+        assert [(v, tuple(c.terms for c in cs)) for v, cs in groups] == (
+            reference_collision_groups(combos))
+    return sl.check_sh_linear(cand)
+
+
+@pytest.mark.parametrize("q", [11, 16, 27])
+def test_chunk_kernel_equals_the_reference_over_larger_fields(q):
+    """Coordinates of more than one byte (q = 27), multi-digit codes, and
+    sets with and without 0, verifying and colliding."""
+    ctx = sl.field_of_order(q)
+    rng = random.Random(900 + q)
+    seen = set()
+    for h, size in ((1, 4), (2, 4), (2, 5), (3, 3)):
+        for zero in (True, False):
+            cand = random_candidate(rng, ctx, 2, h, size, include_zero=zero)
+            seen.add(_kernel_equals_reference(cand) is None)
+            elems = list(cand.elems[1:]) + [cand.elems[0]]  # 0, if present, last
+            _kernel_equals_reference(shset.ShSetCandidate(ctx, 2, tuple(elems), h))
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize("q,r,size", [(2, 70, 8), (5, 17, 6)])
+def test_chunk_kernel_equals_the_reference_for_vectors_wider_than_64_bits(q, r, size):
+    ctx = sl.field_of_order(q)
+    rng = random.Random(q * r)
+    engine = shset._Engine(ctx, r, 2)
+    assert engine._lane > 8
+    for zero in (True, False):
+        cand = random_candidate(rng, ctx, r, 2, size, include_zero=zero)
+        _kernel_equals_reference(cand)
+    if q > 2:  # a nonzero a and -a collide
+        minus_a = cand.elems[0].scale(q - 1)
+        parallel = shset.ShSetCandidate(ctx, r, cand.elems[:-1] + (minus_a,), 2)
+        assert _kernel_equals_reference(parallel) is not None
+
+
+@pytest.mark.parametrize("q", [2, 3, 7, 11, 13])
+def test_chunk_kernel_equals_the_reference_on_the_line(q):
+    ctx = sl.field_of_order(q)
+    for h in (1, 2, 3):
+        for start in (0, 1):
+            coords = [(a,) for a in range(start, min(q, start + h + 2))]
+            if len(coords) >= h:
+                _kernel_equals_reference(shset.ShSetCandidate.from_coords(ctx, coords, h))
+
+
+def test_chunk_kernel_equals_the_reference_for_h1_with_zero(f5):
+    for coords in ([(1, 2), (0, 0), (3, 4)], [(0, 0), (2, 2)], [(1, 1), (2, 2), (0, 0)]):
+        cand = shset.ShSetCandidate.from_coords(f5, coords, 1)
+        witness = _kernel_equals_reference(cand)
+        assert (witness is None) == (coords[0] != (1, 1))
+
+
+def test_first_collision_inside_the_first_chunk(f3):
+    # 2*a1 + a2 = a1 + (a1 + a2): both combinations have first index 0
+    cand = shset.ShSetCandidate.from_coords(f3, [(1, 0), (0, 1), (1, 1)], 2)
+    witness = _kernel_equals_reference(cand)
+    assert (witness.lhs.terms, witness.rhs.terms) == (((0, 2), (1, 1)), ((0, 1), (2, 1)))
+
+
+def test_first_collision_at_the_first_value_of_a_later_chunk(f3):
+    # a2 + a3 = a1 + a4, the first combination with first index 1
+    cand = shset.ShSetCandidate.from_coords(
+        f3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 1, 1)], 2)
+    witness = _kernel_equals_reference(cand)
+    assert (witness.lhs.terms, witness.rhs.terms) == (((0, 1), (3, 1)), ((1, 1), (2, 1)))
+
+
+def test_first_collision_between_parallel_elements_inside_one_chunk(f5):
+    # a2 = 2*a1: a1 + 4*a2 = 2*a1 + a2 = 4*a1, within the index tuple (0, 1)
+    cand = shset.ShSetCandidate.from_coords(f5, [(1, 2), (2, 4), (0, 1)], 2)
+    witness = _kernel_equals_reference(cand)
+    assert (witness.lhs.terms, witness.rhs.terms) == (((0, 1), (1, 4)), ((0, 2), (1, 1)))
+
+
+def test_first_collision_repeated_inside_a_later_chunk(f5):
+    # a4 = a2 + a3: 2*a2 + a3 = a2 + a4, both with first index 1, after a
+    # first chunk that no value repeats
+    cand = shset.ShSetCandidate.from_coords(
+        f5, [(0, 0, 1), (1, 0, 0), (0, 1, 0), (1, 1, 0)], 2)
+    witness = _kernel_equals_reference(cand)
+    assert (witness.lhs.terms, witness.rhs.terms) == (((1, 2), (2, 1)), ((1, 1), (3, 1)))
+
+
 # ---------------------------------------------------------------------------
 # verification verdicts
 # ---------------------------------------------------------------------------
