@@ -250,8 +250,14 @@ def exists_code_with_distance(
     binary integer whose lowest bit is the first free column of row 0,
     over F_q they run in itertools.product order. `candidates` counts the
     codes decided, visited or ruled out together with a prefix that already
-    spans a word of weight < d; it is the Gaussian binomial for "none".
-    Raises BudgetExceededError when that number exceeds the budget.
+    spans a word of weight < d or with their whole pivot set; it is the
+    Gaussian binomial for "none". Raises BudgetExceededError when that
+    number exceeds the budget.
+
+    A pivot set whose last pivot p_(k-1) lies past column n - d is decided
+    before any row is generated: the last RREF row is a codeword with at
+    most n - p_(k-1) < d nonzero entries, so all q^(free entries) codes of
+    the set are ruled out at once and counted as the walk would count them.
 
     Rows and codewords are packed vectors (linalg.PackedSpace). The walk
     keeps the negated code of the rows fixed so far, since row + w has
@@ -277,6 +283,11 @@ def exists_code_with_distance(
     order = range(k - 1, -1, -1) if q == 2 else range(k)
     checked = 0
     for pivots in itertools.combinations(range(n), k):
+        if pivots[-1] > n - d:
+            # the last row has weight <= n - pivots[-1] < d, so it rules out
+            # every code of the set: q^(free entries) of them
+            checked += q ** sum(n - k + i - c for i, c in enumerate(pivots))
+            continue
         free = _free_columns(n, pivots)
         cols = [free[i][::-1] if q == 2 else free[i] for i in order]
         outer, *inner = [_rows(values, pivots[i], c) for i, c in zip(order, cols)]

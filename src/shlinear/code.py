@@ -23,9 +23,11 @@ nonzero. Choosing one of them as the next column makes it a pivot
 (PackedSpace.pivot), and the child's residues are the ones below it with
 the pivot's leading coordinate cleared (PackedSpace.clear). On the last
 level two residues are dependent exactly when they are parallel, so the
-whole level is one test for a repeated line. Each distinct residue's pivot
-is built once per call: the size-(s+1) pass meets every residue the
-size-s pass met.
+whole level is one test for a repeated line name, each residue named by
+its multiple whose leading coordinate is 1 (PackedSpace.line; over F_2
+the residue itself). A pivot is built only for a residue chosen as a
+column. Names and pivots are cached per call: the size-(s+1) pass meets
+every residue the size-s pass met.
 
 codewords and min_distance share one walk over the q^k codewords, packed
 as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
@@ -226,6 +228,7 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
 def _first_dependent(
     space: linalg.PackedSpace,
     pivot: Callable[[int], Tuple[int, Tuple[int, ...]]],
+    line: Callable[[int], int],
     residues: List[int],
     size: int,
 ) -> Optional[Tuple[int, ...]]:
@@ -233,19 +236,18 @@ def _first_dependent(
     largest index is chosen first, and each level counts up. Every smaller
     set is independent, so every residue is nonzero and each chosen one is a
     pivot, whose child list is the residues below it with the pivot's
-    leading coordinate cleared."""
+    leading coordinate cleared. On the last level two nonzero residues are
+    dependent when they span one line, that is when their line names
+    agree."""
     if size == 2:
-        # two nonzero residues are dependent when they span one line; the
-        # multiple of y that clears a 1 at y's leading coordinate is the
-        # same for every nonzero multiple of y, so it names that line
-        lines = [pivot(y)[1][1] for y in residues]
+        lines = list(map(line, residues))
         if len(set(lines)) == len(lines):
             return None
-        top = next(t for t, line in enumerate(lines) if line in lines[:t])
+        top = next(t for t, name in enumerate(lines) if name in lines[:t])
         return lines.index(lines[top]), top
     for top in range(size - 1, len(residues)):
         below = space.clear(residues[:top], pivot(residues[top]))
-        rest = _first_dependent(space, pivot, below, size - 1)
+        rest = _first_dependent(space, pivot, line, below, size - 1)
         if rest is not None:
             return rest + (top,)
     return None
@@ -269,9 +271,9 @@ def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[in
     cols = [space.pack(c) for c in zip(*code.pchk.entries)]
     if 0 in cols and d > 1:
         return False, (cols.index(0),)
-    pivot = functools.cache(space.pivot)
+    pivot, line = functools.cache(space.pivot), functools.cache(space.line)
     for size in range(2, min(d, code.n + 1)):
-        witness = _first_dependent(space, pivot, cols, size)
+        witness = _first_dependent(space, pivot, line, cols, size)
         if witness is not None:
             return False, witness
     code.d_lower = max(code.d_lower, d)

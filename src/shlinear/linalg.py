@@ -12,17 +12,20 @@ lanes of one int, with packed addition, scalar multiples, a Hamming-
 distance filter and a set-file formatter; the combination kernel of
 shset, the code enumeration of bounds and the codeword walk of code share
 it. Its pivot() builds the one elimination step, the multiples of a vector
-that clear each value of its leading coordinate, and clear() applies one
-to a list. EchelonStack, an echelon basis of such pivots with push and
-pop, is the incremental elimination of the span stabilizer of the exact
-search, shset.check_2h_subsets_independent and extract_basis;
-code.distance_at_least clears whole lists of column residues with the
-pivots directly.
+that clear each value of its leading coordinate, clear() applies one to a
+list, and line() names the line through a vector by its multiple whose
+leading coordinate is 1. EchelonStack, an echelon basis of such pivots
+with push and pop, is the incremental elimination of the span stabilizer
+of the exact search, shset.check_2h_subsets_independent and
+extract_basis; code.distance_at_least clears whole lists of column
+residues with the pivots directly and tells parallel ones by line().
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -331,6 +334,22 @@ def span_size(vectors: Sequence[FqVector]) -> int:
 # packed vectors of F_q^r
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _field_tables(ctx: FieldCtx, width: int):
+    """Built once per field, for PackedSpace._times and pivot: alpha^m
+    packed as one coordinate with digit fields of this width (alpha has
+    code p) and its nonzero digits as (bit offset, digit); and, per leading
+    element, the order that puts c*x, c = 0, ..., q-1, into a pivot's
+    cancel table: cancel[b] is c*x for the c with c*lead = -b."""
+    p, m, q, mul, neg, inv = ctx.p, ctx.m, ctx.q, ctx._mul, ctx._neg, ctx._inv
+    power = mul[p ** (m - 1)][p] if m > 1 else 0
+    digits = [power // p ** j % p for j in range(m)]
+    orders = [operator.itemgetter(*[mul[neg[b]][inv[lead]] for b in range(q)])
+              for lead in range(1, q)]
+    return (sum(d << j * width for j, d in enumerate(digits)),
+            tuple((j * width, d) for j, d in enumerate(digits) if d), (None, *orders))
+
+
 class PackedSpace:
     """Vectors of F_q^r, q = p^m, as ints: each base-p digit of each
     coordinate has its own bit field, first coordinate most significant, so
@@ -374,6 +393,11 @@ class PackedSpace:
         self._lane = lane = next((b for b in (1, 2, 4, 8) if 8 * b >= bits), -(-bits // 64) * 8)
         self._one = (1).to_bytes(lane, "little")
         self._format = {1: "B", 2: "H", 4: "I", 8: "Q"}.get(lane)
+        # for _times: every digit field of each coordinate but its top one,
+        # the lowest one, and the field's tables; one attribute, since an
+        # _Engine with 30 loses CPython 3.11's shared-key attribute storage
+        self._scaling = (coords * ((1 << (self._cw - width)) - 1),
+                         coords * ((1 << width) - 1), *_field_tables(ctx, width))
 
     def pack(self, coords: Sequence[int]) -> int:
         v, cw, field = 0, self._cw, self._field
@@ -444,29 +468,51 @@ class PackedSpace:
         return (s - (((s + bias) & tops) >> top) * p for v in vs for s in (x + v,))
 
     def multiples(self, x: int) -> List[int]:
-        """c*x for c = 1, ..., q-1. The base-p digits of c weight x, alpha*x,
+        """c*x for c = 1, ..., q-1."""
+        return self._times(x)[1:]
+
+    def _times(self, x: int) -> List[int]:
+        """c*x for c = 0, ..., q-1. The base-p digits of c weight x, alpha*x,
         ..., alpha^(m-1)*x, and alpha^j has code p^j, so (c + p^j)*x is
-        c*x + alpha^j*x: only alpha^j*x, j >= 1, needs the multiplication table."""
-        out, mul = [0], self.ctx._mul
-        coords = self.unpack(x) if self.ctx.m > 1 else ()
-        for j in range(self.ctx.m):
-            step = self._p ** j
-            base = self.pack([mul[step][a] for a in coords]) if j else x
-            for _ in range((self._p - 1) * step):
-                out.append(self.add(out[-step], base))
-        return out[1:]
+        c*x + alpha^j*x. alpha*y moves each coordinate's digits of y up one
+        field and adds back its top digit t as t*alpha^m: t times each digit
+        of alpha^m, in that digit's field."""
+        p, (keep, low, feed, taps, _) = self._p, self._scaling
+        out, y, m = [0], x, self.ctx.m
+        if p == 2:
+            for j in range(m):
+                if j:
+                    y = ((y & keep) << 1) ^ ((y >> (m - 1)) & low) * feed
+                out += [c ^ y for c in out]
+            return out
+        bias, tops, top = self._bias, self._tops, self._top
+        for j in range(m):
+            if j:
+                ts = [0, (y >> (self._cw - top - 1)) & low]
+                for _ in range(2, p):
+                    s = ts[-1] + ts[1]
+                    ts.append(s - (((s + bias) & tops) >> top) * p)
+                s = ((y & keep) << (top + 1)) + sum([ts[d] << at for at, d in taps])
+                y = s - (((s + bias) & tops) >> top) * p
+            step = len(out)
+            for _ in range((p - 1) * step):
+                s = out[-step] + y
+                out.append(s - (((s + bias) & tops) >> top) * p)
+        return out
 
     def pivot(self, x: int) -> Tuple[int, Tuple[int, ...]]:
         """(shift, cancel) of a nonzero x: its leading coordinate sits at
         bit shift, and adding cancel[b], a multiple of x, to a vector whose
         coordinate there is the element b clears it (cancel[0] = 0)."""
         shift = (x.bit_length() - 1) // self._cw * self._cw
-        mul, neg = self.ctx._mul, self.ctx._neg
-        lead = self._elem[x >> shift]
-        cancel = [0] * self.q
-        for c, cx in enumerate(self.multiples(x), 1):
-            cancel[neg[mul[c][lead]]] = cx
-        return shift, tuple(cancel)
+        return shift, self._scaling[4][self._elem[x >> shift]](self._times(x))
+
+    def line(self, x: int) -> int:
+        """The nonzero x scaled so that its leading coordinate is 1: the same
+        for every nonzero multiple of x, so it names x's line (for q = 2 it
+        is x)."""
+        lead = self._elem[x >> (x.bit_length() - 1) // self._cw * self._cw]
+        return self._times(x)[self.ctx._inv[lead]]
 
     def clear(self, xs: Iterable[int], pivot: Tuple[int, Tuple[int, ...]]) -> List[int]:
         """Each of xs plus the multiple of pivot's vector that clears its

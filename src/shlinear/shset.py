@@ -25,8 +25,9 @@ in the layout of linalg.PackedSpace: one bit field per base-p digit of each
 coordinate, first coordinate most significant, so numeric order is the
 canonical encoding order; addition is XOR for p = 2 and an add-and-correct
 for odd p. The scalar multiples of a vector are packed sums of x, alpha*x,
-..., alpha^(m-1)*x, of which only the last m-1 use the field's
-multiplication table. No table over the q^r vectors is built. One kernel
+..., alpha^(m-1)*x, and alpha*y is a shift of y's digit fields with the
+top digit fed back through the digits of alpha^m, so none reads the
+field's multiplication table. No table over the q^r vectors is built. One kernel
 serves every field: over F_2 and in plain mode each vector, and 0 always,
 is its only usable multiple. It is a linalg.EchelonStack on the same
 packed ints, grown by fits, push and pop, so the span that the search's

@@ -148,6 +148,55 @@ def test_certify_cells_are_pinned(q, n, k, d, exists, candidates, witness):
     assert cert == bounds.ExhaustiveCertificate(q, n, k, d, exists, candidates, witness)
 
 
+# cells where the pivot-set skip rules out some pivot sets but not all;
+# every code is equivalent to one with pivots 0, ..., k-1, the first set,
+# which the skip never rules out, so an "exists" witness always lies there
+SKIP_CELLS = [
+    (2, 8, 2, 6, False),
+    (3, 6, 2, 5, False),
+    (2, 8, 2, 5, True),
+    (2, 7, 3, 4, True),
+    (3, 6, 2, 4, True),
+    (4, 5, 2, 3, True),
+    (5, 5, 2, 4, True),
+]
+
+
+@pytest.mark.parametrize("q, n, k, d, exists", SKIP_CELLS)
+def test_skipped_pivot_sets_keep_count_and_witness(q, n, k, d, exists):
+    """A pivot set whose last pivot lies past n - d is ruled out whole and
+    counted with all its codes: verdict, count and witness stay those of the
+    generate-and-test enumeration."""
+    sets = list(itertools.combinations(range(n), k))
+    assert 0 < sum(s[-1] > n - d for s in sets) < len(sets)
+    cert = bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)
+    assert cert.exists == exists
+    assert cert == reference_exists_code_with_distance(q, n, k, d, 10 ** 6)
+    if exists:  # the witness has pivots 0, ..., k-1
+        assert all(row[:i + 1] == (0,) * i + (1,) for i, row in enumerate(cert.witness_rows))
+
+
+def test_rows_are_built_only_for_pivot_sets_that_can_reach_d(monkeypatch):
+    """_rows is called, once per row, only for pivot sets whose last pivot is
+    at most n - d; a "none" cell walks exactly those sets, in order."""
+    built, rows = [], bounds._rows
+
+    def recording_rows(values, pivot, cols):
+        built.append(pivot)
+        return rows(values, pivot, cols)
+
+    monkeypatch.setattr(bounds, "_rows", recording_rows)
+    certify_cells = [(3, 7, 3, 5, False), (2, 9, 3, 7, False), (3, 7, 2, 5, True),
+                     (4, 6, 1, 5, True), (4, 6, 2, 5, False)]
+    for q, n, k, d, exists in SKIP_CELLS + certify_cells:
+        del built[:]
+        bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)
+        sets = [tuple(sorted(built[i:i + k])) for i in range(0, len(built), k)]
+        assert sets and all(s[-1] <= n - d for s in sets)
+        if not exists:
+            assert sets == list(itertools.combinations(range(n - d + 1), k))
+
+
 def test_none_certificate_must_count_every_code(monkeypatch):
     monkeypatch.setattr(bounds, "gaussian_binomial", lambda n, k, q: 97156)
     with pytest.raises(CertificateCountError):

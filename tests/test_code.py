@@ -192,7 +192,7 @@ def random_parity_checks(q, rng):
         yield sl.from_parity_check(linalg.FqMatrix.from_rows(ctx, rows))
 
 
-@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16, 27])
 def test_distance_at_least_equals_reference(q):
     rng = random.Random(1000 + q)
     verdicts = set()

@@ -222,3 +222,46 @@ def test_span_size(f3):
     vs = [vec(f3, 1, 0, 0), vec(f3, 2, 0, 0), vec(f3, 0, 1, 0)]
     assert linalg.span_size(vs) == 9
     assert linalg.span_size([]) == 1
+
+
+PACKED_FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 121, 125, 243, 256)]
+PACKED_FIELDS += [(8, (1, 0, 1, 1)), (9, (2, 2, 1))]  # x^3 + x^2 + 1, x^2 + 2x + 2
+
+
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("q, modulus", PACKED_FIELDS)
+def test_multiples_pivot_and_line_match_scaling(q, modulus, r):
+    """multiples, pivot and line on packed vectors agree with FqVector.scale,
+    coordinate by coordinate: every c*x, every cancel entry clearing its
+    value, and one line name exactly for each set of parallel vectors."""
+    ctx = sl.field_of_order(q, modulus)
+    space = linalg.PackedSpace(ctx, r)
+    rng = random.Random(70 * q + r)
+    vectors = [linalg.FqVector(ctx, tuple(int(i == j) for j in range(r))) for i in range(r)]
+    vectors.append(linalg.FqVector(ctx, (q - 1,) * r))
+    while len(vectors) < r + 7:
+        v = linalg.FqVector(ctx, tuple(rng.randrange(q) for _ in range(r)))
+        if not v.is_zero():
+            vectors.append(v)
+    vectors.append(vectors[-1].scale(rng.randrange(1, q)))  # a parallel pair
+    names = []
+    for v in vectors:
+        x = space.pack(v.coords)
+        multiples = [space.pack(v.scale(c).coords) for c in range(1, q)]
+        assert space.multiples(x) == multiples
+        lead = next(i for i, a in enumerate(v.coords) if a)
+        shift, cancel = space.pivot(x)
+        assert len(cancel) == q and cancel[0] == 0
+        for b in range(q):
+            w = [rng.randrange(q) for _ in range(r)]
+            w[:lead + 1] = [0] * lead + [b]
+            cleared = space.unpack(space.add(space.pack(w), cancel[b]))
+            assert cancel[b] in multiples or not b
+            assert cleared[:lead + 1] == (0,) * (lead + 1)
+            assert (space.pack(w) >> shift) == space.pack([b])  # lead sits at shift
+        name = space.line(x)
+        assert {space.line(y) for y in multiples} == {name}
+        assert name in multiples and space.unpack(name)[lead] == 1
+        names.append(name)
+    for (u, a), (v, b) in itertools.combinations(zip(vectors, names), 2):
+        assert (a == b) == (not linalg.is_linearly_independent([u, v]))

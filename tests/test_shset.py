@@ -758,6 +758,18 @@ def test_two_agreeing_sums_close_the_set(f2, r):
     assert sl.extend_to_maximal(cand).elems == cand.elems
 
 
+@pytest.mark.parametrize("plain", [False, True])
+def test_engine_keeps_inline_attribute_storage(plain):
+    # CPython 3.11 keeps at most 29 instance attributes in shared-key
+    # storage. At 30 an instance dict grew from 296 to 1 584 bytes and a
+    # method reading four attributes went from 57 to 62 ns, and a search
+    # whose _Engine had 30 attributes ran 1.08-1.13x slower than one with 26
+    # (CPython 3.11.7, 2-vCPU VM), so new packed-space state goes into one
+    # attribute.
+    engine = shset._Engine(sl.field_of_order(9), 2, 2, plain)
+    assert len(vars(engine)) < 30
+
+
 @pytest.mark.parametrize("q,modulus", [
     (2, None), (3, None), (4, None), (5, None), (7, None), (8, None), (9, None),
     (9, (2, 2, 1)), (8, (1, 0, 1, 1)),
