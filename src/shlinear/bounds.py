@@ -197,13 +197,13 @@ def _free_columns(n: int, pivots: Sequence[int]) -> List[List[int]]:
 
 def _rows(values: Sequence[Sequence[int]], pivot: int, cols: Sequence[int]):
     """Packed rows with 1 at the pivot, any value at each column of cols and
-    0 elsewhere, in itertools.product order over cols: the first varies
-    slowest. They come lazily as one list per value at the first column.
-    values[c] lists the packed a*e_c, a = 0, ..., q-1."""
+    0 elsewhere, counting up as base-q integers whose lowest digit is the
+    first column. They come lazily as one list per value at the last
+    column. values[c] lists the packed a*e_c, a = 0, ..., q-1."""
     rows = [values[pivot][1]]
-    for c in cols[1:]:
-        rows = [row + v for row in rows for v in values[c]]
-    for v in values[cols[0]] if cols else [0]:
+    for c in cols[:-1]:
+        rows = [row + v for v in values[c] for row in rows]
+    for v in values[cols[-1]] if cols else [0]:
         yield [v + row for row in rows]
 
 
@@ -246,13 +246,15 @@ def exists_code_with_distance(
 ) -> ExhaustiveCertificate:
     """Decide whether some [n, k] code over F_q reaches minimum distance
     >= d, over every RREF generator matrix in a fixed order: pivot sets in
-    itertools.combinations order; over F_2 the free entries count up as one
-    binary integer whose lowest bit is the first free column of row 0,
-    over F_q they run in itertools.product order. `candidates` counts the
-    codes decided, visited or ruled out together with a prefix that already
-    spans a word of weight < d or with their whole pivot set; it is the
-    Gaussian binomial for "none". Raises BudgetExceededError when that
-    number exceeds the budget.
+    itertools.combinations order, and within a set the free entries count
+    up as one base-q integer whose lowest digit is the first free column of
+    row 0. `candidates` counts the codes decided, visited or ruled out
+    together with a prefix that already spans a word of weight < d or with
+    their whole pivot set; it is the Gaussian binomial for "none". Raises
+    BudgetExceededError when that number exceeds the budget, and
+    InvalidParameterError for d < 1. Every code reaches d = 1, and the zero
+    code (k = 0) reaches every d, so then the first code, [I | 0], is
+    returned with no walk.
 
     A pivot set whose last pivot p_(k-1) lies past column n - d is decided
     before any row is generated: the last RREF row is a codeword with at
@@ -263,14 +265,17 @@ def exists_code_with_distance(
     keeps the negated code of the rows fixed so far, since row + w has
     weight distance(row, -w), and -(c*row + w) = (-c)*row - w makes the
     negated code with one more row {c*row + neg : c in F_q}."""
+    if d < 1:
+        raise InvalidParameterError(f"d must be >= 1, got {d}")
     ctx = field_of_order(q)
     count = gaussian_binomial(n, k, q)
     if count > budget:
         raise BudgetExceededError(
             f"{count} candidate [{n},{k}] codes over F_{q} exceed budget {budget}"
         )
-    if k == 0:
-        return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
+    if d == 1 or k == 0:  # the first code, [I | 0], reaches d
+        rows = tuple(tuple(int(c == i) for c in range(n)) for i in range(k))
+        return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=rows)
     space = PackedSpace(ctx, n)
     unit = lambda c: space.pack([0] * c + [1] + [0] * (n - 1 - c))
     values = [[0, *space.multiples(unit(c))] for c in range(n)]  # values[c][a] = a*e_c
@@ -278,9 +283,6 @@ def exists_code_with_distance(
     own = lambda rows: (rows, heavy(rows, [0]))  # a block and its rows of weight >= d
     # the span holds the nonzero negated codewords
     extend = lambda span, row: [*span, *space.add_all(space.multiples(row), [0, *span])]
-    # over F_2 the highest counter bits belong to row k-1, so it is the
-    # outermost, and its last free column varies slowest
-    order = range(k - 1, -1, -1) if q == 2 else range(k)
     checked = 0
     for pivots in itertools.combinations(range(n), k):
         if pivots[-1] > n - d:
@@ -288,9 +290,10 @@ def exists_code_with_distance(
             # every code of the set: q^(free entries) of them
             checked += q ** sum(n - k + i - c for i, c in enumerate(pivots))
             continue
-        free = _free_columns(n, pivots)
-        cols = [free[i][::-1] if q == 2 else free[i] for i in order]
-        outer, *inner = [_rows(values, pivots[i], c) for i, c in zip(order, cols)]
+        # the highest digits of the count belong to row k-1, so it is the
+        # outermost level
+        cols = _free_columns(n, pivots)[::-1]
+        outer, *inner = [_rows(values, p, c) for p, c in zip(pivots[::-1], cols)]
         # the outermost row is walked once, so it stays lazy; an inner row is
         # revisited under every prefix, so it is listed once. An inner row
         # has at most n-k free columns and count >= q^(k(n-k)), so its list
@@ -300,8 +303,7 @@ def exists_code_with_distance(
         rows = []
         checked += _walk(levels, below, heavy, extend, [], rows)
         if rows:
-            coords = [space.unpack(row) for row in rows]
-            witness = tuple(coords[::-1] if q == 2 else coords)
+            witness = tuple(space.unpack(row) for row in rows[::-1])
             return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
     if checked != count:
         raise CertificateCountError(
@@ -393,11 +395,10 @@ def bmax_log(
     n: int,
     h: int,
     budget: int = DEFAULT_SEARCH_BUDGET,
-    exact: bool = True,
 ) -> BoundResult:
     """log_q of the maximum size of a length-n code with d >= 2h+1, as
     n - vbar, carrying vbar's exactness status."""
-    base = vbar_exact(entries, q, h, n, budget) if exact else vbar_upper(entries, q, h, n)
+    base = vbar_exact(entries, q, h, n, budget)
     if base.value is not None and base.interval is None:
         return BoundResult("bmax_log", n - base.value, base.provenance, note=base.note)
     lo, hi = base.interval

@@ -463,13 +463,7 @@ def dispatch(argv: Optional[List[str]] = None) -> int:
     handler = _HANDLERS[args.subcommand]
     try:
         return handler(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ShlinearError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # an unreadable input or unwritable output
+    except (ShlinearError, OSError) as exc:  # OSError: an unreadable input or unwritable output
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

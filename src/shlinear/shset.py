@@ -188,7 +188,6 @@ class _Engine(linalg.EchelonStack):
         # per push: the lengths of _sums before it, the values it added to
         # seen, and whether two (h-1)-sums agree after it
         self._levels: List[Tuple[List[int], Iterable[int], bool]] = [([], (), False)]
-        self._fresh: set = set()  # the values of the vector fits last built
 
     def scaled(self, x: int) -> List[int]:
         """The multiples of x a canonical combination can use: 1*x alone for
@@ -246,21 +245,21 @@ class _Engine(linalg.EchelonStack):
         coefficient-1 values are tested first, up to the first seen one.
         When x is its only multiple, they are all its values, and two agree
         exactly when two (h-1)-sums do, as push recorded; otherwise the
-        values are built once as a set, which push keeps."""
+        values are built as a set and counted. A test only: it changes no
+        state."""
         partials = self._sums[-1]
         if not self.seen.isdisjoint(self.translate(x, partials)):
             return False
         xs = self.scaled(x)
         if len(xs) == 1:
             return not self._levels[-1][2]
-        self._fresh = set(self.add_all(partials, xs))
-        return len(self._fresh) == len(partials) * len(xs)
+        return len(set(self.add_all(partials, xs))) == len(partials) * len(xs)
 
     def push(self, x: int) -> None:
-        """Push x, which fits; an x with several multiples must be the one
-        fits accepted last. Every push is undone by one pop."""
+        """Push x, which fits, and see the values of its h-combinations with
+        h-1 pushed elements. Every push is undone by one pop."""
         sums, xs = self._sums, self.scaled(x)
-        fresh = list(self.translate(x, sums[-1])) if len(xs) == 1 else self._fresh
+        fresh = list(self.add_all(sums[-1], xs))
         self.seen.update(fresh)
         self.elems.append(x)
         marks = [len(s) for s in sums]
@@ -527,13 +526,14 @@ def _first_dependent_lex(
 
 def _search_max(engine: _Engine, candidates: List[int], h: int) -> Tuple[int, List[int]]:
     """Candidate-list depth-first search: at each node the branch list holds
-    only vectors individually compatible with the current set, so
-    |set| + |remaining list| bounds every completion. Candidates stay in
-    canonical encoding order throughout, and of the candidates outside the
-    span of the current set only the first compatible one is branched on:
-    a linear map fixing that span carries any other onto it. The first
-    descent pushes the first compatible candidate at every node, so the
-    first maximal set found is the greedy canonical-order one."""
+    only vectors individually compatible with the current set (at the root,
+    {0}, which every nonzero vector fits), so |set| + |remaining list|
+    bounds every completion. Candidates stay in canonical encoding order
+    throughout, and of the candidates outside the span of the current set
+    only the first compatible one is branched on: a linear map fixing that
+    span carries any other onto it. The first descent pushes the first
+    compatible candidate at every node, so the first maximal set found is
+    the greedy canonical-order one."""
     best_size, best = 0, []
 
     def dfs(cands: List[int]) -> None:
@@ -549,8 +549,6 @@ def _search_max(engine: _Engine, candidates: List[int], h: int) -> Tuple[int, Li
                 break
             outside = not engine.in_span(x)
             if outside and branched_outside:
-                continue
-            if not engine.fits(x):
                 continue
             branched_outside = branched_outside or outside
             engine.push(x)

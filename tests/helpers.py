@@ -147,27 +147,10 @@ def reference_distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optiona
 # unpruned code enumeration: every RREF generator matrix, every codeword
 # ---------------------------------------------------------------------------
 
-def rref_generators_f2(n: int, k: int):
-    """All full-rank k x n RREF matrices over F_2 as row bitmask tuples."""
-    for pivots in itertools.combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [
-            (i, c)
-            for i, p in enumerate(pivots)
-            for c in range(p + 1, n)
-            if c not in pivot_set
-        ]
-        base = [1 << (n - 1 - p) for p in pivots]
-        for bits in range(1 << len(free)):
-            rows = list(base)
-            for t, (i, c) in enumerate(free):
-                if (bits >> t) & 1:
-                    rows[i] |= 1 << (n - 1 - c)
-            yield rows
-
-
-def rref_generators_fq(n: int, k: int, q: int):
-    """All full-rank k x n RREF matrices over F_q as coordinate rows."""
+def rref_generators(n: int, k: int, q: int):
+    """All full-rank k x n RREF matrices over F_q as coordinate rows, per
+    pivot set with the free entries counting up as one base-q integer whose
+    lowest digit is the first free column of row 0."""
     for pivots in itertools.combinations(range(n), k):
         pivot_set = set(pivots)
         free = [
@@ -177,10 +160,11 @@ def rref_generators_fq(n: int, k: int, q: int):
             if c not in pivot_set
         ]
         for assignment in itertools.product(range(q), repeat=len(free)):
+            # itertools.product varies its last entry fastest
             rows = [[0] * n for _ in range(k)]
             for i, p in enumerate(pivots):
                 rows[i][p] = 1
-            for (i, c), val in zip(free, assignment):
+            for (i, c), val in zip(reversed(free), assignment):
                 rows[i][c] = val
             yield rows
 
@@ -198,25 +182,9 @@ def reference_exists_code_with_distance(
     if k == 0:
         return ExhaustiveCertificate(q, n, k, d, True, 1, witness_rows=())
     checked = 0
-    if q == 2:
-        for rows in rref_generators_f2(n, k):
-            checked += 1
-            good = True
-            word = 0
-            for msg in range(1, 1 << k):
-                word ^= rows[(msg & -msg).bit_length() - 1]
-                if word.bit_count() < d:
-                    good = False
-                    break
-            if good:
-                witness = tuple(
-                    tuple((r >> (n - 1 - j)) & 1 for j in range(n)) for r in rows
-                )
-                return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
-        return ExhaustiveCertificate(q, n, k, d, False, checked)
     ctx = field_of_order(q)
     add, mul = ctx._add, ctx._mul
-    for rows in rref_generators_fq(n, k, q):
+    for rows in rref_generators(n, k, q):
         checked += 1
         good = True
         for msg in itertools.product(range(q), repeat=k):

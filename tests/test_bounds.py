@@ -12,6 +12,7 @@ from shlinear import bounds, linalg
 from shlinear.errors import (
     BudgetExceededError,
     CertificateCountError,
+    InvalidParameterError,
     NoWitnessError,
     ParseError,
     SingletonViolationError,
@@ -139,13 +140,35 @@ def test_certificates_equal_the_unpruned_reference():
 @pytest.mark.parametrize("q, n, k, d, exists, candidates, witness", [
     (3, 7, 3, 5, False, 925_771, None),
     (2, 9, 3, 7, False, 788_035, None),
-    (3, 7, 2, 5, True, 9_816, ((1, 0, 0, 1, 1, 1, 1), (0, 1, 1, 0, 1, 1, 2))),
-    (4, 6, 1, 5, True, 86, ((1, 0, 1, 1, 1, 1),)),
+    (3, 7, 2, 5, True, 9_816, ((1, 0, 2, 1, 1, 0, 1), (0, 1, 1, 1, 1, 1, 0))),
+    (4, 6, 1, 5, True, 86, ((1, 1, 1, 1, 1, 0),)),
     (4, 6, 2, 5, False, 93_093, None),
+    (2, 9, 4, 4, True, 241_071, ((1, 0, 0, 0, 0, 1, 1, 1, 0), (0, 1, 0, 0, 1, 0, 1, 1, 0),
+                                 (0, 0, 1, 0, 1, 1, 0, 1, 0), (0, 0, 0, 1, 1, 1, 1, 0, 0))),
 ])
 def test_certify_cells_are_pinned(q, n, k, d, exists, candidates, witness):
-    cert = bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 6)
+    cert = bounds.exists_code_with_distance(q, n, k, d, budget=10 ** 7)
     assert cert == bounds.ExhaustiveCertificate(q, n, k, d, exists, candidates, witness)
+    if exists:  # the pinned witness is a real [n, k, >= d] code
+        gen = linalg.FqMatrix.from_rows(sl.field_of_order(q), witness)
+        assert linalg.rank(gen) == k
+        assert sl.min_distance(sl.from_generator(gen)) >= d
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_distance_below_one_is_rejected(d):
+    with pytest.raises(InvalidParameterError):
+        bounds.exists_code_with_distance(3, 4, 2, d)
+
+
+@pytest.mark.parametrize("q, n, k", [(8, 8, 8), (9, 10, 10), (2, 12, 12), (5, 6, 1), (4, 6, 3)])
+def test_distance_one_returns_the_first_code_without_a_walk(monkeypatch, q, n, k):
+    """Every code reaches d = 1, so even k = n, whose walk would span all
+    q^n words, is decided by its first code alone."""
+    monkeypatch.setattr(bounds, "_walk", None)
+    cert = bounds.exists_code_with_distance(q, n, k, 1)
+    first = tuple(tuple(int(c == i) for c in range(n)) for i in range(k))
+    assert cert == bounds.ExhaustiveCertificate(q, n, k, 1, True, 1, first)
 
 
 # cells where the pivot-set skip rules out some pivot sets but not all;

@@ -746,6 +746,32 @@ def test_engine_fits_matches_verifier(q, mode):
                 fitting()
 
 
+def test_fits_leaves_no_state_for_push(f3):
+    """push sees the values of the vector it pushes, whatever fits tested
+    last."""
+    engine, fresh = shset._Engine(f3, 3, 2), shset._Engine(f3, 3, 2)
+    a, b = engine.pack((1, 0, 0)), engine.pack((0, 1, 0))
+    engine.push(0)
+    assert engine.fits(b) and engine.fits(a) and engine.fits(b)
+    engine.push(a)
+    fresh.push(0)
+    fresh.push(a)
+    assert engine.seen == fresh.seen
+
+
+@pytest.mark.parametrize("mode", ["linear", "plain"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_every_nonzero_vector_fits_zero(q, mode):
+    """The search's root list is not filtered: every nonzero vector fits
+    {0}, for every h."""
+    ctx = sl.field_of_order(q)
+    for r in range(1, int(math.log(800, q) + 1e-9) + 1):
+        for h in (1, 2, 3, 4):
+            engine = shset._Engine(ctx, r, h, plain=mode == "plain")
+            engine.push(0)
+            assert all(engine.fits(x) for x in engine.vectors(r) if x), (r, h)
+
+
 @pytest.mark.parametrize("r", [3, 4])
 def test_two_agreeing_sums_close_the_set(f2, r):
     # {0, a, b, a+b} is S_3-linear, and its 2-sums a+b = 0+(a+b) agree, so
