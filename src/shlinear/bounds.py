@@ -252,9 +252,9 @@ def exists_code_with_distance(
     together with a prefix that already spans a word of weight < d or with
     their whole pivot set; it is the Gaussian binomial for "none". Raises
     BudgetExceededError when that number exceeds the budget, and
-    InvalidParameterError for d < 1. Every code reaches d = 1, and the zero
-    code (k = 0) reaches every d, so then the first code, [I | 0], is
-    returned with no walk.
+    InvalidParameterError unless 0 <= k <= n and d >= 1. Every code reaches
+    d = 1, and the zero code (k = 0) reaches every d, so then the first
+    code, [I | 0], is returned with no walk.
 
     A pivot set whose last pivot p_(k-1) lies past column n - d is decided
     before any row is generated: the last RREF row is a codeword with at
@@ -265,6 +265,8 @@ def exists_code_with_distance(
     keeps the negated code of the rows fixed so far, since row + w has
     weight distance(row, -w), and -(c*row + w) = (-c)*row - w makes the
     negated code with one more row {c*row + neg : c in F_q}."""
+    if not 0 <= k <= n:
+        raise InvalidParameterError(f"need 0 <= k <= n, got k={k}, n={n}")
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     ctx = field_of_order(q)

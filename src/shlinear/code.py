@@ -11,23 +11,12 @@ distance is computed two independent ways on purpose:
 
 Each is the oracle for the other; the test suite cross-validates them.
 
-distance_at_least walks the column subsets of each size s = 1..d-1 depth
-first, choosing the largest column first and counting up at each level, so
-the subsets come in colex order and the witness is the colex-first
-dependent subset of the smallest dependent size. The columns are packed
-once (linalg.PackedSpace). No proper prefix of a size-s subset can be
-dependent, since it is a smaller subset and every smaller subset passed
-already, so each node of the walk carries the residues of the columns
-below its smallest chosen column modulo the span of the chosen ones, all
-nonzero. Choosing one of them as the next column makes it a pivot
-(PackedSpace.pivot), and the child's residues are the ones below it with
-the pivot's leading coordinate cleared (PackedSpace.clear). On the last
-level two residues are dependent exactly when they are parallel, so the
-whole level is one test for a repeated line name, each residue named by
-its multiple whose leading coordinate is 1 (PackedSpace.line; over F_2
-the residue itself). A pivot is built only for a residue chosen as a
-column. Names and pivots are cached per call: the size-(s+1) pass meets
-every residue the size-s pass met.
+distance_at_least packs the columns once (linalg.PackedSpace) and asks
+PackedSpace.first_dependent for the first dependent set of at most d-1 of
+them: sizes go up, and each size comes in colex order, so the witness is
+the colex-first dependent subset of the smallest dependent size. The
+generator and parity-check matrices of a code come from one EchelonStack
+pass over the given rows (_basis_and_kernel).
 
 codewords and min_distance share one walk over the q^k codewords, packed
 as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
@@ -44,9 +33,8 @@ word, with the addition inlined.
 
 from __future__ import annotations
 
-import functools
 import math
-from typing import Callable, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, Optional, Tuple, Union
 
 from .errors import (
     BudgetExceededError,
@@ -133,9 +121,12 @@ class LinearCode:
 
 
 def _basis_and_kernel(M: FqMatrix) -> Tuple[FqMatrix, FqMatrix]:
-    """The first-seen independent rows of M, and a basis of its kernel."""
-    return (FqMatrix.from_row_vectors(linalg.extract_basis(M.row_vectors()), M.ctx, M.cols),
-            FqMatrix.from_row_vectors(linalg.kernel_basis(M), M.ctx, M.cols))
+    """The first-seen independent rows of M, and a basis of its kernel, from
+    one pass of an EchelonStack that pushes each row once."""
+    stack = linalg.EchelonStack(M.ctx, M.cols)
+    kept = [row for row in M.entries if stack.push(stack.pack(row))]
+    return (FqMatrix(M.ctx, len(kept), M.cols, tuple(kept)),
+            FqMatrix.from_row_vectors(linalg.kernel_of(stack), M.ctx, M.cols))
 
 
 def from_parity_check(H: FqMatrix) -> LinearCode:
@@ -225,34 +216,6 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
     return best
 
 
-def _first_dependent(
-    space: linalg.PackedSpace,
-    pivot: Callable[[int], Tuple[int, Tuple[int, ...]]],
-    line: Callable[[int], int],
-    residues: List[int],
-    size: int,
-) -> Optional[Tuple[int, ...]]:
-    """The colex-first `size` indices whose residues are dependent: the
-    largest index is chosen first, and each level counts up. Every smaller
-    set is independent, so every residue is nonzero and each chosen one is a
-    pivot, whose child list is the residues below it with the pivot's
-    leading coordinate cleared. On the last level two nonzero residues are
-    dependent when they span one line, that is when their line names
-    agree."""
-    if size == 2:
-        lines = list(map(line, residues))
-        if len(set(lines)) == len(lines):
-            return None
-        top = next(t for t, name in enumerate(lines) if name in lines[:t])
-        return lines.index(lines[top]), top
-    for top in range(size - 1, len(residues)):
-        below = space.clear(residues[:top], pivot(residues[top]))
-        rest = _first_dependent(space, pivot, line, below, size - 1)
-        if rest is not None:
-            return rest + (top,)
-    return None
-
-
 def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """True iff every subset of <= d-1 parity-check columns is linearly
     independent. On failure returns the first dependent column subset found,
@@ -268,13 +231,8 @@ def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[in
             return True, None
         return False, (0,)
     space = linalg.PackedSpace(code.ctx, code.pchk.rows)
-    cols = [space.pack(c) for c in zip(*code.pchk.entries)]
-    if 0 in cols and d > 1:
-        return False, (cols.index(0),)
-    pivot, line = functools.cache(space.pivot), functools.cache(space.line)
-    for size in range(2, min(d, code.n + 1)):
-        witness = _first_dependent(space, pivot, line, cols, size)
-        if witness is not None:
-            return False, witness
+    witness = space.first_dependent([space.pack(c) for c in zip(*code.pchk.entries)], d - 1)
+    if witness is not None:
+        return False, witness
     code.d_lower = max(code.d_lower, d)
     return True, None

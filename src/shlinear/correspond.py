@@ -154,7 +154,6 @@ def round_trip_check(code: LinearCode, h: int, budget: int = 10 ** 6) -> Corresp
     report.add_check("k_preserved", rebuilt.k == code.k, f"{rebuilt.k} vs {code.k}")
 
     original_cols = code.pchk.column_vectors()
-    rebuilt_cols = rebuilt.pchk.column_vectors()
     # the rebuilt parity check re-derives rows, but its column space tags
     # positions: match columns of the constructed H (same as rebuilt order)
     position = {v: i for i, v in enumerate(original_cols)}

@@ -32,7 +32,8 @@ serves every field: over F_2 and in plain mode each vector, and 0 always,
 is its only usable multiple. It is a linalg.EchelonStack on the same
 packed ints, grown by fits, push and pop, so the span that the search's
 span stabilizer tests is kept by the package's one incremental
-elimination; check_2h_subsets_independent uses a stack of its own.
+elimination. check_2h_subsets_independent asks the dependent-set walk of
+code.distance_at_least, linalg.PackedSpace.first_dependent.
 
 The kernel works a chunk at a time (_Engine.chunks): the values of every
 combination whose first index is i, in the pinned order. Vectors lie side
@@ -457,7 +458,7 @@ def translate_scale(candidate: ShSetCandidate, v: FqVector, alpha: int) -> ShSet
     """Pointwise map a -> v + alpha*a. The S_h verdict is preserved when
     alpha != 0 and v is outside the linear span of the set (for q = 2, for
     every v); the caller checks span membership via linalg.in_span."""
-    if alpha % candidate.ctx.q == 0 or not 0 < alpha < candidate.ctx.q:
+    if not 0 < alpha < candidate.ctx.q:
         raise ScalarZeroError(f"alpha must be a nonzero element code, got {alpha}")
     if v.ctx != candidate.ctx:
         raise FieldMismatchError(f"{v.ctx!r} vs {candidate.ctx!r}")
@@ -487,7 +488,9 @@ def append_zero_coordinate(candidate: ShSetCandidate) -> ShSetCandidate:
 def check_2h_subsets_independent(candidate: ShSetCandidate) -> Optional[Tuple[FqVector, ...]]:
     """For an S_h-linear set containing 0 with 2h < r <= |A|, every subset of
     2h nonzero elements must be linearly independent. Returns None when that
-    holds, else the first dependent subset (lexicographic order)."""
+    holds, else a dependent subset: the colex-first one among those with
+    the fewest elements (linalg.PackedSpace.first_dependent), so it may
+    have fewer than 2h."""
     h = candidate.h
     if not candidate.contains_zero():
         raise PreconditionViolatedError("the set must contain the zero vector")
@@ -496,28 +499,9 @@ def check_2h_subsets_independent(candidate: ShSetCandidate) -> Optional[Tuple[Fq
             f"need 2h < r <= |A|; got h={h}, r={candidate.r}, |A|={len(candidate.elems)}"
         )
     nonzero = candidate.nonzero_elems()
-    stack = linalg.EchelonStack(candidate.ctx, candidate.r)
-    first = _first_dependent_lex(stack, [stack.pack(v.coords) for v in nonzero], 0, 2 * h)
+    space = linalg.PackedSpace(candidate.ctx, candidate.r)
+    first = space.first_dependent([space.pack(v.coords) for v in nonzero], 2 * h)
     return None if first is None else tuple(nonzero[i] for i in first)
-
-
-def _first_dependent_lex(
-    stack: linalg.EchelonStack, vectors: List[int], start: int, size: int
-) -> Optional[Tuple[int, ...]]:
-    """The lexicographically first `size` indices from range(start,
-    len(vectors)) whose packed vectors are dependent together with the
-    vectors on the stack. Every completion of a dependent prefix is
-    dependent, so the first one found is returned with its first
-    completion; the range of i leaves room for it."""
-    for i in range(start, len(vectors) - size + 1):
-        if not stack.push(vectors[i]):
-            stack.pop()
-            return tuple(range(i, i + size))
-        rest = _first_dependent_lex(stack, vectors, i + 1, size - 1) if size > 1 else None
-        stack.pop()
-        if rest is not None:
-            return (i,) + rest
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from shlinear.bounds import ExhaustiveCertificate, gaussian_binomial
 from shlinear.code import LinearCode
 from shlinear.errors import BudgetExceededError
 from shlinear.gf import FieldCtx, field_of_order
-from shlinear.linalg import FqVector
+from shlinear.linalg import FqMatrix, FqVector
 from shlinear.shset import CollisionWitness, HCombination, ShSetCandidate, _Engine, check_sh_linear
 
 
@@ -65,6 +65,76 @@ class NaiveField:
                 for i, c in enumerate(self.modulus):
                     prod[shift + i] = (prod[shift + i] - lead * c) % self.p
         return self._code(prod[: self.m])
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: Gauss-Jordan on coordinate lists, apart from the
+# packed EchelonStack that every linalg wrapper runs on
+# ---------------------------------------------------------------------------
+
+def _gauss_jordan(ctx: FieldCtx, rows: List[List[int]], ncols: int) -> Tuple[List[List[int]], List[int]]:
+    """In-place Gauss-Jordan; returns (rows, pivot_cols). Rows end up in
+    reduced row echelon form with zero rows at the bottom."""
+    sub, mul, inv = ctx.sub, ctx._mul, ctx._inv
+    pivots: List[int] = []
+    r = 0
+    nrows = len(rows)
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        iv = inv[rows[r][c]]
+        if iv != 1:
+            rows[r] = [mul[iv][x] for x in rows[r]]
+        for i in range(nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [sub(x, mul[f][y]) for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows, pivots
+
+
+def reference_rank(ctx: FieldCtx, rows: Sequence[Sequence[int]], ncols: int) -> int:
+    return len(_gauss_jordan(ctx, [list(r) for r in rows], ncols)[1])
+
+
+def reference_independent(vectors: Sequence[FqVector]) -> bool:
+    return not vectors or reference_rank(
+        vectors[0].ctx, [v.coords for v in vectors], vectors[0].dim) == len(vectors)
+
+
+def reference_in_span(v: FqVector, vectors: Sequence[FqVector]) -> bool:
+    rows = [u.coords for u in vectors]
+    return reference_rank(v.ctx, rows + [v.coords], v.dim) == reference_rank(v.ctx, rows, v.dim)
+
+
+def reference_rref(matrix: FqMatrix) -> Tuple[FqMatrix, int, List[int]]:
+    rows, pivots = _gauss_jordan(matrix.ctx, [list(r) for r in matrix.entries], matrix.cols)
+    return FqMatrix(matrix.ctx, matrix.rows, matrix.cols, tuple(map(tuple, rows))), len(pivots), pivots
+
+
+def reference_kernel_basis(matrix: FqMatrix) -> List[FqVector]:
+    """One kernel vector per free column of the reference RREF, ascending."""
+    ctx = matrix.ctx
+    reduced, _, pivots = reference_rref(matrix)
+    basis = []
+    for free in range(matrix.cols):
+        if free in pivots:
+            continue
+        v = [0] * matrix.cols
+        v[free] = 1
+        for i, pc in enumerate(pivots):
+            v[pc] = ctx.neg(reduced.entries[i][free])
+        basis.append(FqVector(ctx, tuple(v)))
+    return basis
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +194,7 @@ def subsets_colex(n: int, size: int) -> Iterator[Tuple[int, ...]]:
 
 def reference_distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
     """Reference for code.distance_at_least: the same scan of sizes 1..d-1
-    in colex order, testing each subset with its own elimination."""
+    in colex order, testing each subset with the reference elimination."""
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     if code.k == 0:
@@ -138,7 +208,7 @@ def reference_distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optiona
         if size > len(columns):
             break
         for subset in subsets_colex(len(columns), size):
-            if not linalg.is_linearly_independent([columns[j] for j in subset]):
+            if not reference_independent([columns[j] for j in subset]):
                 return False, subset
     return True, None
 

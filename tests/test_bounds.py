@@ -161,6 +161,14 @@ def test_distance_below_one_is_rejected(d):
         bounds.exists_code_with_distance(3, 4, 2, d)
 
 
+@pytest.mark.parametrize("n, k, d", [(3, 5, 1), (3, 5, 2), (3, -1, 2)])
+def test_dimension_outside_zero_to_n_is_rejected(n, k, d):
+    # k > n once returned a five-row witness of rank 3 at d = 1 and "none"
+    # at d = 2, and k < 0 a ValueError from itertools
+    with pytest.raises(InvalidParameterError):
+        bounds.exists_code_with_distance(2, n, k, d)
+
+
 @pytest.mark.parametrize("q, n, k", [(8, 8, 8), (9, 10, 10), (2, 12, 12), (5, 6, 1), (4, 6, 3)])
 def test_distance_one_returns_the_first_code_without_a_walk(monkeypatch, q, n, k):
     """Every code reaches d = 1, so even k = n, whose walk would span all

@@ -9,7 +9,15 @@ import pytest
 import shlinear as sl
 from shlinear import linalg
 from shlinear.errors import DimensionMismatchError, FieldMismatchError
-from helpers import bruteforce_rank
+from shlinear.code import _basis_and_kernel
+from helpers import (
+    bruteforce_rank,
+    reference_in_span,
+    reference_independent,
+    reference_kernel_basis,
+    reference_rank,
+    reference_rref,
+)
 
 
 def vec(ctx, *coords):
@@ -124,7 +132,7 @@ def test_in_span_ternary_r9_combination(ternary_r9_set):
 
 
 def _check_echelon_stack(ctx):
-    """Span tests and push verdicts of the stack agree with a fresh
+    """Span tests and push verdicts of the stack agree with the reference
     elimination over a random sequence of pushes and pops."""
     q = ctx.q
     rng = random.Random(40 + q)
@@ -142,8 +150,8 @@ def _check_echelon_stack(ctx):
             continue
         i = rng.randrange(len(vectors))
         for x, v in zip(packs, vectors):
-            assert stack.in_span(x) == linalg.in_span(v, pushed)
-        expected = linalg.in_span(vectors[i], pushed)
+            assert stack.in_span(x) == reference_in_span(v, pushed)
+        expected = reference_in_span(vectors[i], pushed)
         assert stack.push(packs[i]) == (not expected)
         pushed.append(vectors[i])
 
@@ -183,9 +191,9 @@ def test_extract_basis_empty_and_duplicates(f2):
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_extract_basis_keeps_first_seen_rank_increases(q):
-    """extract_basis keeps a vector exactly when it raises the Gauss-Jordan
-    rank of the vectors kept before it, with zero, parallel and repeated
-    vectors among the input."""
+    """extract_basis keeps a vector exactly when it raises the reference
+    Gauss-Jordan rank of the vectors kept before it, with zero, parallel
+    and repeated vectors among the input."""
     ctx = sl.field_of_order(q)
     rng = random.Random(60 + q)
     for _ in range(12):
@@ -197,7 +205,7 @@ def test_extract_basis_keeps_first_seen_rank_increases(q):
         vectors.append(vectors[rng.randrange(len(vectors))])
         kept = []
         for v in vectors:
-            if linalg.rank(linalg.FqMatrix.from_row_vectors(kept + [v])) > len(kept):
+            if reference_rank(ctx, [u.coords for u in kept + [v]], r) > len(kept):
                 kept.append(v)
         basis = linalg.extract_basis(vectors)
         assert len(basis) == len(kept) and all(b is v for b, v in zip(basis, kept))
@@ -222,6 +230,45 @@ def test_span_size(f3):
     vs = [vec(f3, 1, 0, 0), vec(f3, 2, 0, 0), vec(f3, 0, 1, 0)]
     assert linalg.span_size(vs) == 9
     assert linalg.span_size([]) == 1
+
+
+@pytest.mark.parametrize("q, modulus", [(2, None), (3, None), (4, None), (5, None), (7, None),
+                                        (8, None), (9, None), (16, None), (25, None), (27, None),
+                                        (8, (1, 0, 1, 1)), (9, (2, 2, 1))])
+def test_packed_wrappers_match_reference_elimination(q, modulus):
+    """rref, rank, kernel_basis, in_span, is_linearly_independent,
+    span_size and code._basis_and_kernel, all one EchelonStack pass, equal
+    the reference Gauss-Jordan on matrices with zero, repeated and parallel
+    rows, and on matrices with no rows."""
+    ctx = sl.field_of_order(q, modulus)
+    rng = random.Random(80 * q + len(modulus or ()))
+    for _ in range(25):
+        cols = rng.randint(1, 6)
+        rows = [tuple(rng.randrange(q) for _ in range(cols)) for _ in range(rng.randint(0, 5))]
+        if rows and rng.random() < 0.6:
+            rows.insert(rng.randrange(len(rows) + 1), (0,) * cols)
+            rows.append(rows[rng.randrange(len(rows))])
+            c = rng.randrange(1, q)
+            rows.append(tuple(ctx.mul(c, a) for a in rows[rng.randrange(len(rows))]))
+        m = linalg.FqMatrix(ctx, len(rows), cols, tuple(rows))
+        rank = reference_rank(ctx, rows, cols)
+        assert linalg.rref(m) == reference_rref(m)
+        assert linalg.rank(m) == rank
+        assert linalg.kernel_basis(m) == reference_kernel_basis(m)
+        vectors = m.row_vectors()
+        assert linalg.is_linearly_independent(vectors) == reference_independent(vectors)
+        assert linalg.span_size(vectors) == q ** rank
+        kept = []
+        for v in vectors:
+            if reference_rank(ctx, [u.coords for u in kept + [v]], cols) > len(kept):
+                kept.append(v)
+        gen, kernel = _basis_and_kernel(m)
+        assert gen.row_vectors() == kept and (gen.rows, gen.cols) == (len(kept), cols)
+        assert kernel.row_vectors() == reference_kernel_basis(m) and kernel.cols == cols
+        probes = [linalg.FqVector(ctx, tuple(rng.randrange(q) for _ in range(cols))) for _ in range(3)]
+        probes += [v.scale(rng.randrange(q)) + w for v, w in zip(vectors, vectors[1:])]
+        for v in probes:
+            assert linalg.in_span(v, vectors) == reference_in_span(v, vectors)
 
 
 PACKED_FIELDS = [(q, None) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 49, 64, 81, 121, 125, 243, 256)]

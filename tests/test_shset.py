@@ -24,6 +24,9 @@ from helpers import (
     reference_collision_groups,
     reference_enumeration,
     reference_first_collision,
+    reference_in_span,
+    reference_independent,
+    subsets_colex,
 )
 
 
@@ -462,11 +465,22 @@ def test_2h_subsets_dependent_witness(f2):
     cand = shset.ShSetCandidate.from_coords(f2, coords, 2)
     witness = sl.check_2h_subsets_independent(cand)
     assert witness is not None
-    assert not linalg.is_linearly_independent(list(witness))
+    assert not reference_independent(list(witness))
+
+
+def test_2h_subsets_witness_is_the_smallest_dependent_set(f3):
+    # e1 and 2e1 are parallel: the witness is that pair, not a 4-set
+    e = [tuple(int(i == j) for j in range(5)) for i in range(5)]
+    twice = (2, 0, 0, 0, 0)
+    cand = shset.ShSetCandidate.from_coords(f3, [(0,) * 5, e[0], twice, e[1], e[2], e[3]], 2)
+    assert sl.check_2h_subsets_independent(cand) == (vec(f3, *e[0]), vec(f3, *twice))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
 def test_2h_subsets_match_combination_scan(q):
+    """The witness is the first dependent set of a scan of the nonzero
+    elements by size 1..2h, each size in colex order, each set tested by the
+    reference elimination."""
     ctx = sl.field_of_order(q)
     rng = random.Random(300 + q)
     outcomes = set()
@@ -475,9 +489,11 @@ def test_2h_subsets_match_combination_scan(q):
         r = rng.randint(2 * h + 1, 2 * h + 2)
         size = rng.randint(r, min(r + 4, q ** r))
         cand = random_candidate(rng, ctx, r, h, size, include_zero=True)
+        nonzero = cand.nonzero_elems()
         scan = next(
-            (s for s in itertools.combinations(cand.nonzero_elems(), 2 * h)
-             if not linalg.is_linearly_independent(list(s))),
+            (tuple(nonzero[i] for i in s)
+             for k in range(1, 2 * h + 1) for s in subsets_colex(len(nonzero), k)
+             if not reference_independent([nonzero[i] for i in s])),
             None,
         )
         assert sl.check_2h_subsets_independent(cand) == scan
@@ -649,9 +665,9 @@ def test_search_witness_is_pinned(case, expected):
 
 
 def _check_engine_span(engine, r):
-    """The kernel's incremental span agrees with linalg.in_span on every
-    vector after each push and pop of a random sequence. The sequence may
-    collide, so it goes onto the EchelonStack base alone."""
+    """The kernel's incremental span agrees with the reference elimination
+    on every vector after each push and pop of a random sequence. The
+    sequence may collide, so it goes onto the EchelonStack base alone."""
     ctx, q = engine.ctx, engine.q
     vectors = [linalg.decode_vector(ctx, r, c) for c in range(q ** r)]
     packs = [engine.pack(v.coords) for v in vectors]
@@ -661,7 +677,7 @@ def _check_engine_span(engine, r):
     def check():
         elems = [vectors[c] for c in pushed]
         for x, v in zip(packs, vectors):
-            assert engine.in_span(x) == linalg.in_span(v, elems)
+            assert engine.in_span(x) == reference_in_span(v, elems)
 
     for _ in range(3):
         for code in rng.sample(range(q ** r), r + 1):

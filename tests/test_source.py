@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import re
 import sys
 from pathlib import Path
@@ -32,3 +33,19 @@ def test_package_depends_on_the_standard_library_alone():
     assert imported and sorted(imported - sys.stdlib_module_names) == []
     pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
     assert re.search(r"^dependencies = \[\]$", pyproject, re.M)
+
+
+def test_bench_workloads_use_names_the_package_has():
+    # the bench reaches the package as lib.<module>.<name>; a rename here
+    # should fail the tests before it fails a bench run
+    source = Path(__file__).parents[1] / "bench" / "workloads.py"
+    used = {
+        (node.value.attr, node.attr)
+        for node in ast.walk(ast.parse(source.read_text(), str(source)))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute)
+        and isinstance(node.value.value, ast.Name) and node.value.value.id == "lib"
+    }
+    assert used
+    missing = [f"{module}.{name}" for module, name in sorted(used)
+               if not hasattr(importlib.import_module(f"shlinear.{module}"), name)]
+    assert missing == []
