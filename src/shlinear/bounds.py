@@ -7,9 +7,11 @@ log_q B_q(n, 2h+1) = n - vbar(q, h, n).
 
 Existence evidence comes from ingested table entries (d_low); nonexistence
 comes either from table entries (d_up) or from exhaustive enumeration of
-all [n, k] codes via reduced-row-echelon-form generator matrices, which
-turns a table citation into an independently checkable certificate at desk
-scale. Every result carries its provenance chain and can be re-validated.
+all [n, k] codes via reduced-row-echelon-form generator matrices, one per
+column-scaling orbit of the last row and counted with the orbit's size,
+which turns a table citation into an independently checkable certificate
+at desk scale. Every result carries its provenance chain and can be
+re-validated.
 
 sh_lower(q, r, h) is the table-generation rule for lower bounds on the
 maximum S_h-linear set size in F_q^r: max{n+1 : [n, n-r, d >= 2h+1] known}.
@@ -207,38 +209,39 @@ def _rows(values: Sequence[Sequence[int]], pivot: int, cols: Sequence[int]):
         yield [v + row for row in rows]
 
 
-def _walk(levels, below, heavy, extend, span, chosen) -> int:
+def _walk(levels, below, heavy, extend, span, chosen) -> Optional[int]:
     """Depth-first search over the generator matrices of one pivot set that
     extend the rows in `chosen`, one row per level, outermost level first.
-    `levels[i]` iterates the values of that row in blocks, each a list of
-    rows and the sublist of those of weight >= d, `below[i]` is the number
-    of completions of a prefix ending at level i, `heavy(rows, span)` keeps
-    the rows whose sum with every word of `span` (the nonzero code of the
-    rows fixed above) has weight >= d, and `extend` returns that code with
-    one more row.
+    `levels[i]` iterates the values of that row in blocks, each the number
+    of rows the block stands for (its length, or for the outermost level the
+    sum of its rows' scaling orbits) and its sublist of rows of weight >= d,
+    `below[i]` is the number of completions of a prefix ending at level i,
+    `heavy(rows, span)` keeps the rows whose sum with every word of `span`
+    (the nonzero code of the rows fixed above) has weight >= d, and
+    `extend` returns that code with one more row.
 
     A row with a lighter word is ruled out with all its completions, since
     they have that word too, so each block is filtered once against the span
     and only the surviving rows are descended into. Returns the number of
-    codes decided: below[level] for each row generated and ruled out, plus
-    what each survivor's subtree returns. At the first code without a
-    lighter word it stops, with that code's rows in `chosen`."""
+    codes decided: below[level] for each row a block stands for, plus what
+    each survivor's subtree returns less below[level], which is 0 unless a
+    level lost rows and leaves the count short. At the first code without a
+    lighter word it stops and returns None, with that code's rows in
+    `chosen`."""
     level = len(chosen)
-    checked = seen = done = 0
-    for block, own in levels[level]:
+    checked = 0
+    for size, own in levels[level]:
+        checked += size * below[level]
         for row in heavy(own, span):
             chosen.append(row)
-            if level + 1 < len(levels):
-                checked += _walk(levels, below, heavy, extend, extend(span, row), chosen)
-            else:
-                checked += 1
-            if len(chosen) == len(levels):
-                # every row before this one was descended into or ruled out
-                return checked + (seen + block.index(row) - done) * below[level]
+            if level + 1 == len(levels):
+                return None
+            sub = _walk(levels, below, heavy, extend, extend(span, row), chosen)
+            if sub is None:
+                return None
+            checked += sub - below[level]
             chosen.pop()
-            done += 1
-        seen += len(block)
-    return checked + (seen - done) * below[level]
+    return checked
 
 
 def exists_code_with_distance(
@@ -261,6 +264,15 @@ def exists_code_with_distance(
     most n - p_(k-1) < d nonzero entries, so all q^(free entries) codes of
     the set are ruled out at once and counted as the walk would count them.
 
+    Codes are decided up to scaling non-pivot columns by F_q^*, which keeps
+    the pivot set and every weight: row k-1, the outermost level, takes free
+    entries 0 and 1 alone, and a row of weight w counts for the (q-1)^(w-1)
+    rows that scale its nonzero free entries. 1 is the least nonzero
+    element, so the first code that reaches d is still the first visited;
+    its count is the codes of the earlier pivot sets plus its free entries
+    read as the base-q integer of the order, plus 1, as a visit of every
+    code would give. For q = 2 nothing changes.
+
     Rows and codewords are packed vectors (linalg.PackedSpace). The walk
     keeps the negated code of the rows fixed so far, since row + w has
     weight distance(row, -w), and -(c*row + w) = (-c)*row - w makes the
@@ -281,8 +293,15 @@ def exists_code_with_distance(
     space = PackedSpace(ctx, n)
     unit = lambda c: space.pack([0] * c + [1] + [0] * (n - 1 - c))
     values = [[0, *space.multiples(unit(c))] for c in range(n)]  # values[c][a] = a*e_c
+    ones = [v[:2] for v in values]  # 0 and e_c
     heavy = lambda rows, span: space.far(rows, span, d)
-    own = lambda rows: (rows, heavy(rows, [0]))  # a block and its rows of weight >= d
+    # a block's size and its rows of weight >= d. An outer row has entries
+    # 0 and 1 alone, so one set bit per nonzero entry, and stands for the
+    # scalings[w] = (q-1)^(w-1) rows that scale its w-1 nonzero free entries
+    own = lambda rows: (len(rows), heavy(rows, [0]))
+    scalings = [0, *((q - 1) ** w for w in range(n))]
+    orbits = lambda rows: (sum(map(scalings.__getitem__, map(int.bit_count, rows))),
+                           heavy(rows, [0]))
     # the span holds the nonzero negated codewords
     extend = lambda span, row: [*span, *space.add_all(space.multiples(row), [0, *span])]
     checked = 0
@@ -293,20 +312,26 @@ def exists_code_with_distance(
             checked += q ** sum(n - k + i - c for i, c in enumerate(pivots))
             continue
         # the highest digits of the count belong to row k-1, so it is the
-        # outermost level
+        # outermost level; it takes free entries 0 and 1 alone
         cols = _free_columns(n, pivots)[::-1]
-        outer, *inner = [_rows(values, p, c) for p, c in zip(pivots[::-1], cols)]
+        outer = _rows(ones, pivots[-1], cols[0])
+        inner = [_rows(values, p, c) for p, c in zip(pivots[-2::-1], cols[1:])]
         # the outermost row is walked once, so it stays lazy; an inner row is
         # revisited under every prefix, so it is listed once. An inner row
         # has at most n-k free columns and count >= q^(k(n-k)), so its list
         # holds at most sqrt(count) rows.
-        levels = [map(own, outer), *(list(map(own, rows)) for rows in inner)]
+        levels = [map(orbits, outer), *(list(map(own, rows)) for rows in inner)]
         below = [q ** sum(map(len, cols[i + 1:])) for i in range(k)]
         rows = []
-        checked += _walk(levels, below, heavy, extend, [], rows)
-        if rows:
+        tally = _walk(levels, below, heavy, extend, [], rows)
+        if tally is None:
+            # every code of the set before the witness was decided: as many
+            # as its free entries read as the base-q integer of the order
             witness = tuple(space.unpack(row) for row in rows[::-1])
+            digits = [row[c] for row, free in zip(witness, cols[::-1]) for c in free]
+            checked += 1 + sum(a * q ** i for i, a in enumerate(digits))
             return ExhaustiveCertificate(q, n, k, d, True, checked, witness)
+        checked += tally
     if checked != count:
         raise CertificateCountError(
             f"enumeration of [{n},{k}] codes over F_{q} decided {checked} of {count}"

@@ -33,6 +33,7 @@ word, with the addition inlined.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterator, Optional, Tuple, Union
 
@@ -89,8 +90,14 @@ class LinearCode:
             raise DimensionMismatchError(
                 f"pchk must have n-k={self.n - self.k} rows, got {pchk.rows}"
             )
-        if self.k and self.n - self.k and not gen.matmul(pchk.transpose()).is_zero():
-            raise ValueError("generator rows are not annihilated by the parity check")
+        if self.k and self.n - self.k:
+            # G H^T = 0: each generator row weighs the packed columns of H,
+            # whose multiples are taken once, and sums to zero
+            space = linalg.PackedSpace(ctx, pchk.rows)
+            times = [[0, *space.multiples(space.pack(col))] for col in zip(*pchk.entries)]
+            if any(functools.reduce(space.add, map(list.__getitem__, times, row))
+                   for row in gen.entries):
+                raise ValueError("generator rows are not annihilated by the parity check")
 
     @property
     def d_known(self) -> Optional[Distance]:

@@ -299,6 +299,22 @@ def test_selftest_checks_f4_certificates(capsys, monkeypatch):
     assert "certificate_oracle_agreement: FAIL" in out
 
 
+@pytest.mark.parametrize("change", [
+    lambda cert: dataclasses.replace(cert, exists=not cert.exists) if cert.q == 5 else cert,
+    lambda cert: cert if cert.exists else dataclasses.replace(cert, candidates=cert.candidates - 1),
+], ids=["f5_verdict", "none_count"])
+def test_selftest_checks_f5_verdicts_and_none_counts(capsys, monkeypatch, change):
+    """The certificate check covers F_5, where column scaling cuts the
+    enumeration, and the count of a "none" certificate: a wrong verdict over
+    F_5 or a "none" short of the Gaussian binomial alone makes selftest
+    fail."""
+    exists = bounds.exists_code_with_distance
+    monkeypatch.setattr(bounds, "exists_code_with_distance", lambda *args: change(exists(*args)))
+    code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
+    assert code == 1
+    assert "certificate_oracle_agreement: FAIL" in out
+
+
 def test_selftest_checks_f4_distances(capsys, monkeypatch):
     """The distance cross-validation covers F_4 (p = 2, m = 2 packing): a
     wrong minimum distance there alone makes selftest fail."""

@@ -146,6 +146,25 @@ def test_generator_annihilated_by_parity_check(f5_code, f2_code_14, f2_code_8):
         assert code.gen.matmul(code.pchk.transpose()).is_zero()
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_changed_generator_entry_is_refused(q):
+    """LinearCode checks G H^T = 0 on the packed columns of H. When no
+    column of H is zero, changing any one generator entry breaks it, as the
+    tuple product confirms, and the pair is refused."""
+    ctx, rng = sl.field_of_order(q), random.Random(q)
+    columns = [c for c in itertools.product(range(q), repeat=3) if any(c)]
+    H = linalg.FqMatrix.from_columns([linalg.FqVector(ctx, rng.choice(columns)) for _ in range(7)])
+    code = sl.from_parity_check(H)
+    code_mod.LinearCode(ctx, code.gen, code.pchk)
+    for i, j in itertools.product(range(code.k), range(code.n)):
+        rows = [list(row) for row in code.gen.entries]
+        rows[i][j] = ctx.add(rows[i][j], 1 + rng.randrange(q - 1))
+        gen = linalg.FqMatrix.from_rows(ctx, rows)
+        assert not gen.matmul(code.pchk.transpose()).is_zero()
+        with pytest.raises(ValueError, match="not annihilated"):
+            code_mod.LinearCode(ctx, gen, code.pchk)
+
+
 def test_distance_translation_invariance(f2_code_14):
     rng = random.Random(5)
     words = list(sl.codewords(f2_code_14))

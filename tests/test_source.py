@@ -2,7 +2,9 @@
 
 import ast
 import importlib
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -49,3 +51,15 @@ def test_bench_workloads_use_names_the_package_has():
     missing = [f"{module}.{name}" for module, name in sorted(used)
                if not hasattr(importlib.import_module(f"shlinear.{module}"), name)]
     assert missing == []
+
+
+def test_importing_the_cli_builds_no_field():
+    # every process of the CLI imports it, so work done at import time is
+    # paid by every command; field and packing tables are built on first use
+    probe = ("from shlinear import cli, gf, linalg; print("
+             "gf._cached_field.cache_info().currsize, gf.default_modulus.cache_info().currsize, "
+             "linalg._field_tables.cache_info().currsize)")
+    src = str(Path(shlinear.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split() == ["0", "0", "0"]
