@@ -1,25 +1,32 @@
 """Linear [n,k,d] codes over F_q.
 
 A LinearCode always carries both a full-rank generator matrix and a
-full-rank parity-check matrix, kept consistent (gen @ pchk^T = 0). Minimum
-distance is computed two independent ways on purpose:
+full-rank parity-check matrix, kept consistent (gen @ pchk^T = 0), and the
+columns of the parity check packed once (pchk_space, pchk_columns). The
+minimum distance has two exact walks:
 
-  * min_distance walks all q^k codewords and takes the minimum weight;
-  * distance_at_least(d) checks that every subset of <= d-1 parity-check
-    columns is linearly independent (and produces a dependent witness
-    subset when not).
+  * the codeword walk (_lightest) visits all q^k codewords and keeps the
+    least weight and, among the lightest words, the colex-first support;
+  * the column walk (linalg.PackedSpace.first_dependent on the packed
+    columns) visits the sets of at most d-1 columns, sizes going up and
+    each size in colex order, and stops at the first dependent one.
 
-Each is the oracle for the other; the test suite cross-validates them.
+They meet in one lemma (MacWilliams & Sloane, The Theory of
+Error-Correcting Codes, ch. 1): the support of a codeword is a dependent
+column set, and a dependent set of the fewest columns is the support of a
+minimum-weight codeword. So the colex-first dependent set among the fewest
+columns is the colex-first support of a lightest codeword, and either walk
+answers distance_at_least(d) with the same verdict and witness.
+min_distance takes the codeword walk; distance_at_least takes the walk
+with fewer items to visit (see its docstring), which for small q^k is the
+same walk. The two stay independent oracles where they are paired: the
+distance cross-validation of `shlinear selftest` and of the tests asks the
+column walk itself, and the tests check distance_at_least against a tuple
+Gauss-Jordan reference. The generator and parity-check matrices of a code
+come from one EchelonStack pass over the given rows (_basis_and_kernel).
 
-distance_at_least packs the columns once (linalg.PackedSpace) and asks
-PackedSpace.first_dependent for the first dependent set of at most d-1 of
-them: sizes go up, and each size comes in colex order, so the witness is
-the colex-first dependent subset of the smallest dependent size. The
-generator and parity-check matrices of a code come from one EchelonStack
-pass over the given rows (_basis_and_kernel).
-
-codewords and min_distance share one walk over the q^k codewords, packed
-as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
+codewords and the codeword walk go over the q^k codewords in one order (_words),
+packed as ints (linalg.PackedSpace) for every q = p^m. A message has k*m base-p
 digits; digit i*m + j is the coefficient of alpha^j in its entry for row i.
 The walk is the p-ary modular Gray code on these digits (Knuth, TAOCP 4A,
 7.2.1.1): step t adds 1 mod p to the digit numbered by the count of
@@ -90,11 +97,14 @@ class LinearCode:
             raise DimensionMismatchError(
                 f"pchk must have n-k={self.n - self.k} rows, got {pchk.rows}"
             )
+        # H's columns, packed once (n zeros when H has no rows): the G H^T
+        # check below and the column walk of distance_at_least read them
+        self.pchk_space = space = linalg.PackedSpace(ctx, pchk.rows)
+        self.pchk_columns = [space.pack(col) for col in zip(*pchk.entries)] or [0] * self.n
         if self.k and self.n - self.k:
             # G H^T = 0: each generator row weighs the packed columns of H,
             # whose multiples are taken once, and sums to zero
-            space = linalg.PackedSpace(ctx, pchk.rows)
-            times = [[0, *space.multiples(space.pack(col))] for col in zip(*pchk.entries)]
+            times = [[0, *space.multiples(x)] for x in self.pchk_columns]
             if any(functools.reduce(space.add, map(list.__getitem__, times, row))
                    for row in gen.entries):
                 raise ValueError("generator rows are not annihilated by the parity check")
@@ -189,10 +199,38 @@ def codewords(code: LinearCode) -> Iterator[FqVector]:
     return (FqVector(code.ctx, space.unpack(x)) for x in _words(code, space))
 
 
+def _lightest(code: LinearCode, space: linalg.PackedSpace, stop: int) -> Tuple[int, int]:
+    """The least weight w of a nonzero codeword and, packed in space, the
+    word of weight w with the colex-first support, from the Gray walk of the
+    module docstring; the walk stops once w <= stop. A word is weighed by
+    the rule of PackedSpace.far, whose mask holds the top bit of each
+    nonzero coordinate, coordinate j the (n-1-j)-th from the low end; so of
+    two supports of one size, A comes before B in colex order exactly when
+    the lowest set bit of mask(A) ^ mask(B) lies in mask(B), and masks are
+    compared only on ties. Raises PreconditionViolatedError when a nonzero
+    message encodes to the zero word (dependent generator rows)."""
+    low, high = space.low, space.high
+    words = _words(code, space)
+    next(words)  # the zero word
+    best, first, word = code.n + 1, 0, 0
+    for x in words:
+        mask = ((x & low) + low | x) & high
+        w = mask.bit_count()
+        if w <= best:
+            if w < best:
+                best, first, word = w, mask, x
+                if w <= stop:
+                    break
+            elif (t := mask ^ first) & -t & first:
+                first, word = mask, x
+    if not best:
+        raise PreconditionViolatedError("the generator rows are linearly dependent")
+    return best, word
+
+
 def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
     """Exact minimum distance: the least weight over the Gray walk of the
-    module docstring, each packed word weighed by the rule of
-    PackedSpace.far and the walk stopped at weight 1; caches into d_known.
+    module docstring (_lightest), stopped at weight 1; caches into d_known.
     Raises BudgetExceededError when q^k > budget, and
     PreconditionViolatedError when a nonzero message encodes to the zero
     word (dependent generator rows)."""
@@ -206,40 +244,38 @@ def min_distance(code: LinearCode, budget: int = DEFAULT_BUDGET) -> Distance:
             f"q^k = {code.ctx.q}^{code.k} exceeds budget {budget}; "
             "use distance_at_least instead"
         )
-    space = linalg.PackedSpace(code.ctx, code.n)
-    low, high = space.low, space.high
-    words = _words(code, space)
-    next(words)  # the zero word
-    best = code.n
-    for x in words:
-        w = (((x & low) + low | x) & high).bit_count()
-        if w < best:
-            best = w
-            if best <= 1:
-                break
-    if not best:  # a nonzero message encoded to the zero word
-        raise PreconditionViolatedError("the generator rows are linearly dependent")
-    code.d_known = best
+    best = code.d_known = _lightest(code, linalg.PackedSpace(code.ctx, code.n), 1)[0]
     return best
 
 
 def distance_at_least(code: LinearCode, d: int) -> Tuple[bool, Optional[Tuple[int, ...]]]:
-    """True iff every subset of <= d-1 parity-check columns is linearly
-    independent. On failure returns the first dependent column subset found,
-    scanning sizes 1..d-1 in colex order (see the module docstring)."""
+    """True iff every set of <= d-1 parity-check columns is linearly
+    independent, that is iff no nonzero codeword weighs less than d; else
+    False and the colex-first dependent column set among the fewest columns,
+    which is the colex-first support of a lightest codeword.
+
+    Two exact walks give this answer (see the module docstring); the one
+    with fewer items to visit is taken. The column walk visits at most the
+    C(n, 1) + ... + C(n, s) column sets of sizes up to s = min(d-1, n-k+1),
+    since any n-k+1 columns are dependent; the codeword walk visits q^k
+    words. Measured per item, a column set costs about a tenth of a word
+    over F_2 and one to seven words for q >= 5, so the counts are compared
+    with no factor: q^k <= sets takes the codeword walk.
+    Only a True answer changes the code, raising d_lower to d. The codeword
+    walk raises PreconditionViolatedError on dependent generator rows."""
     if d < 1:
         raise InvalidParameterError(f"d must be >= 1, got {d}")
     if code.k == 0:
         return True, None
-    if code.pchk.rows == 0:
-        # whole-space code: every column of the empty parity check is the
-        # zero vector, so d = 1 and any singleton is already dependent
-        if d == 1:
-            return True, None
-        return False, (0,)
-    space = linalg.PackedSpace(code.ctx, code.pchk.rows)
-    witness = space.first_dependent([space.pack(c) for c in zip(*code.pchk.entries)], d - 1)
-    if witness is not None:
-        return False, witness
+    sets = sum(math.comb(code.n, s) for s in range(1, min(d, code.n - code.k + 2)))
+    if code.ctx.q ** code.k <= sets:
+        space = linalg.PackedSpace(code.ctx, code.n)
+        weight, word = _lightest(code, space, 0)
+        if weight < d:
+            return False, tuple(j for j, c in enumerate(space.unpack(word)) if c)
+    else:
+        witness = code.pchk_space.first_dependent(code.pchk_columns, d - 1)
+        if witness is not None:
+            return False, witness
     code.d_lower = max(code.d_lower, d)
     return True, None

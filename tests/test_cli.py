@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import shlinear
-from shlinear import bounds, cli, fileio, fixtures, shset
+from shlinear import bounds, cli, fileio, fixtures, linalg, shset
 from shlinear import code as code_mod
 
 
@@ -328,6 +328,32 @@ def test_selftest_checks_f4_distances(capsys, monkeypatch):
     code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
     assert code == 1
     assert "distance_cross_validation: FAIL" in out
+
+
+def test_selftest_checks_the_column_walk(capsys, monkeypatch):
+    """The distance cross-validation asks the column walk itself, not
+    distance_at_least, which answers small codes from the codeword walk: a
+    wrong column walk over F_4 alone makes selftest fail."""
+    first_dependent = linalg.PackedSpace.first_dependent
+
+    def wrong_over_f4(space, xs, most):
+        return None if space.q == 4 else first_dependent(space, xs, most)
+
+    monkeypatch.setattr(linalg.PackedSpace, "first_dependent", wrong_over_f4)
+    code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
+    assert code == 1
+    assert "distance_cross_validation: FAIL" in out
+    assert out.count("FAIL") == 1
+
+
+def test_selftest_distance_check_skips_distance_at_least(capsys, monkeypatch):
+    """distance_at_least may answer from the codeword walk of min_distance,
+    so the cross-validation does not ask it: a wrong distance_at_least
+    leaves selftest passing."""
+    monkeypatch.setattr(code_mod, "distance_at_least", lambda built, d: (True, None))
+    code, out, _ = run(capsys, "selftest", "--seed", "1", "--trials", "10")
+    assert code == 0
+    assert "distance_cross_validation: pass" in out
 
 
 @pytest.mark.parametrize("argv", [
